@@ -2,7 +2,7 @@
 
 The closed loop the generation engine enables: stage 0 writes shard
 logs the ingestion engine discovers directly, whose merged chain map the
-enrichment engine analyzes.  This benchmark times each stage and the
+serial analysis consumes.  This benchmark times each stage and the
 whole loop at ``jobs`` 1 and 4 and persists the numbers to
 ``BENCH_e2e.json`` (repo root; override with ``REPRO_BENCH_E2E_OUT``).
 
@@ -52,7 +52,7 @@ def e2e_bench(tmp_path_factory):
         generated_at = time.perf_counter()
         ingest = ingest_shards(discover_shards(out), jobs=jobs)
         ingested_at = time.perf_counter()
-        result = analyzer.analyze_chains(ingest.chains, jobs=jobs)
+        result = analyzer.analyze_chains(ingest.chains)
         done = time.perf_counter()
         assert ingest.missing_certs == 0
         assert result.chains

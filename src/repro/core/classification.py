@@ -87,18 +87,5 @@ class CertificateClassifier:
         return (self.registry.is_trust_anchor_name(last.subject)
                 or self.registry.is_trust_anchor_name(last.issuer))
 
-    def preload(self, classes: Dict[str, IssuerClass]) -> None:
-        """Adopt classifications computed elsewhere (partition workers).
-
-        Sound because classification is a pure function of the certificate
-        and the registry, and every worker holds the same registry — the
-        merged map is exactly what this instance would have computed.
-        """
-        self._cache.update(classes)
-
-    def cached_classes(self) -> Dict[str, IssuerClass]:
-        """Snapshot of the fingerprint → class cache (for merge/preload)."""
-        return dict(self._cache)
-
     def cache_size(self) -> int:
         return len(self._cache)

@@ -9,9 +9,8 @@ detection), producing every statistic reported in §3–§4.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..ct.crtsh import CrtShIndex
 from ..faults.injector import FaultInjector
@@ -38,7 +37,6 @@ from .matching import (ChainStructure, analyze_structure, pack_structure,
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..parallel.engine import IngestResult
-    from ..parallel.supervisor import SupervisorConfig
 
 __all__ = ["ChainStructureAnalyzer", "AnalysisResult",
            "SingleCertStats", "MultiCertPathStats"]
@@ -92,11 +90,6 @@ class AnalysisResult:
     disclosures: Optional[CrossSignDisclosures]
     _structure_cache: Dict[tuple[str, ...], ChainStructure] = field(
         default_factory=dict)
-    #: Artifact-cache entries not yet decoded: chain key -> packed
-    #: (require_leaf=True, require_leaf=False) structure encodings.
-    #: Decoded lazily so a warm load does no per-structure Python work.
-    _packed_structures: Dict[tuple[str, ...], tuple] = field(
-        default_factory=dict)
 
     # -- structure access -------------------------------------------------------
 
@@ -107,18 +100,10 @@ class AnalysisResult:
         if cached is not None:
             instruments.STRUCTURE_CACHE_HIT.inc()
             return cached
-        packed_pair = self._packed_structures.get(chain.key)
-        packed = packed_pair[0 if require_leaf else 1] if packed_pair else None
-        if packed is not None:
-            # Decoding a packed artifact entry skips the pair matching —
-            # observable as a cache hit.
-            instruments.STRUCTURE_CACHE_HIT.inc()
-            cached = unpack_structure(chain.certificates, packed)
-        else:
-            instruments.STRUCTURE_CACHE_MISS.inc()
-            cached = analyze_structure(chain.certificates,
-                                       disclosures=self.disclosures,
-                                       require_leaf=require_leaf)
+        instruments.STRUCTURE_CACHE_MISS.inc()
+        cached = analyze_structure(chain.certificates,
+                                   disclosures=self.disclosures,
+                                   require_leaf=require_leaf)
         self._structure_cache[cache_key] = cached
         return cached
 
@@ -205,21 +190,16 @@ class ChainStructureAnalyzer:
     def analyze_connections(self, connections: Iterable[JoinedConnection],
                             *, checkpoint: Optional[CheckpointStore] = None,
                             resume: bool = False,
-                            jobs: Optional[int] = None,
                             artifacts: Optional[ArtifactStore] = None,
-                            supervise: Optional["SupervisorConfig"] = None,
                             ) -> AnalysisResult:
         return self.analyze_chains(aggregate_chains(connections),
                                    checkpoint=checkpoint, resume=resume,
-                                   jobs=jobs, artifacts=artifacts,
-                                   supervise=supervise)
+                                   artifacts=artifacts)
 
     def analyze_ingest(self, ingest: "IngestResult",
                        *, checkpoint: Optional[CheckpointStore] = None,
                        resume: bool = False,
-                       jobs: Optional[int] = None,
                        artifacts: Optional[ArtifactStore] = None,
-                       supervise: Optional["SupervisorConfig"] = None,
                        ) -> AnalysisResult:
         """Analyze the merged chain map of a (parallel) sharded ingest.
 
@@ -231,8 +211,7 @@ class ChainStructureAnalyzer:
         """
         return self.analyze_chains(ingest.chains,
                                    checkpoint=checkpoint, resume=resume,
-                                   jobs=jobs, artifacts=artifacts,
-                                   supervise=supervise)
+                                   artifacts=artifacts)
 
     def _fingerprint(self, chains: Dict[tuple[str, ...], ObservedChain]
                      ) -> str:
@@ -255,9 +234,9 @@ class ChainStructureAnalyzer:
 
         Chain-map identity + analyzer configuration (both folded into
         ``fingerprint``) + the analysis code version + the package
-        version.  ``jobs`` is deliberately absent: the parallel engine is
-        byte-identical to a serial pass, so a warm artifact serves any
-        worker count.
+        version.  The ingest worker count is deliberately absent: the
+        merged chain map is identical at any ``--jobs``, so a warm
+        artifact serves every one.
         """
         return input_fingerprint([
             "analysis-artifact", _ANALYSIS_CODE_VERSION, __version__,
@@ -270,24 +249,14 @@ class ChainStructureAnalyzer:
         Certificates, chains, and the classifier cache are reproducible
         from the caller's chain map, and unpickling them costs about as
         much as recomputing the analysis — so the artifact stores the
-        *decisions* (category per chain, hybrid verdicts, packed
-        structure encodings, cluster membership) keyed by chain key, and
-        :meth:`_rehydrate` reattaches them to live objects.
+        *decisions* (category per chain, hybrid verdicts with their
+        packed structure encodings, cluster membership) keyed by chain
+        key, and :meth:`_rehydrate` reattaches them to live objects.
         """
         categories = {}
         for category in ChainCategory:
             for chain in result.categorized.chains(category):
                 categories[chain.key] = category
-        structures = {}
-        for key in result.chains:
-            with_leaf = result._structure_cache.get(key + ("L",))
-            without_leaf = result._structure_cache.get(key + ("N",))
-            if with_leaf is not None or without_leaf is not None:
-                structures[key] = (
-                    pack_structure(with_leaf)
-                    if with_leaf is not None else None,
-                    pack_structure(without_leaf)
-                    if without_leaf is not None else None)
         hybrid = [(analysis.chain.key, pack_structure(analysis.structure),
                    analysis.classes, analysis.category,
                    analysis.complete_kind, analysis.no_path_category,
@@ -295,7 +264,6 @@ class ChainStructureAnalyzer:
                   for analysis in result.hybrid.analyses]
         return {
             "categories": categories,
-            "structures": structures,
             "hybrid": hybrid,
             # Small on its own (issuers + name keys + chain keys), and
             # degraded_chains already holds keys, not chains.
@@ -332,7 +300,6 @@ class ChainStructureAnalyzer:
             dga = [DGACluster(template=template,
                               chains=[chains[key] for key in keys])
                    for template, keys in state["dga"]]
-            packed_structures = dict(state["structures"])
             interception = state["interception"]
         except (KeyError, IndexError, TypeError, ValueError):
             log.warning("analysis artifact failed to rehydrate; recomputing")
@@ -345,25 +312,18 @@ class ChainStructureAnalyzer:
             dga_clusters=dga,
             classifier=CertificateClassifier(self.registry),
             disclosures=self.disclosures,
-            _packed_structures=packed_structures,
         )
 
     def analyze_chains(self, chains: Dict[tuple[str, ...], ObservedChain],
                        *, checkpoint: Optional[CheckpointStore] = None,
                        resume: bool = False,
-                       jobs: Optional[int] = None,
                        artifacts: Optional[ArtifactStore] = None,
-                       supervise: Optional["SupervisorConfig"] = None,
                        ) -> AnalysisResult:
         """Run the Figure-2 pipeline over a merged chain map.
 
-        ``jobs=None`` keeps the historical serial stage sequence
-        (interception → categorize → hybrid → dga).  Any integer ``jobs``
-        routes stages 2–3 through the parallel enrichment engine
-        (:mod:`repro.parallel.analysis`), which additionally computes both
-        ``ChainStructure`` variants for every multi-certificate chain
-        eagerly — the result is byte-identical either way, and identical
-        at every ``jobs`` value.
+        The stages run in sequence (interception → categorize → hybrid →
+        dga); ``ChainStructure`` objects beyond the hybrid verdicts are
+        computed lazily by :meth:`AnalysisResult.structure_of`.
 
         ``artifacts`` layers the content-addressed cache on top: when a
         stored ``AnalysisResult`` matches this input + configuration +
@@ -410,86 +370,27 @@ class ChainStructureAnalyzer:
                     return detector.detect(chains.values())
                 interception = staged("interception", run_interception)
 
-            structure_cache: Dict[tuple[str, ...], ChainStructure] = {}
-            if jobs is None:
-                # Stage 2 — chain categorisation (serial).
-                with trace_span("categorize", chains=len(chains)):
-                    def run_categorize() -> CategorizedChains:
-                        categorizer = ChainCategorizer(
-                            classifier, interception.issuer_name_keys)
-                        result = categorizer.categorize(chains.values())
-                        for category in ChainCategory:
-                            instruments.PIPELINE_CATEGORY_CHAINS.inc(
-                                result.chain_count(category),
-                                category=category.value)
-                        return result
-                    categorized = staged("categorize", run_categorize)
+            # Stage 2 — chain categorisation.
+            with trace_span("categorize", chains=len(chains)):
+                def run_categorize() -> CategorizedChains:
+                    categorizer = ChainCategorizer(
+                        classifier, interception.issuer_name_keys)
+                    result = categorizer.categorize(chains.values())
+                    for category in ChainCategory:
+                        instruments.PIPELINE_CATEGORY_CHAINS.inc(
+                            result.chain_count(category),
+                            category=category.value)
+                    return result
+                categorized = staged("categorize", run_categorize)
 
-                # Stage 3 — mismatch/cross-sign + path detection on hybrids.
-                hybrid_chains = categorized.chains(ChainCategory.HYBRID)
-                with trace_span("hybrid_analysis", chains=len(hybrid_chains)):
-                    def run_hybrid() -> HybridReport:
-                        hybrid_analyzer = HybridAnalyzer(classifier,
-                                                         self.disclosures)
-                        return hybrid_analyzer.analyze(hybrid_chains)
-                    hybrid = staged("hybrid", run_hybrid)
-            else:
-                # Stages 2+3 — sharded chain enrichment: categorisation,
-                # hybrid analysis, and eager structure computation fan out
-                # across partitions; the merge is byte-identical to the
-                # serial stages above at any jobs value.
-                from ..parallel.analysis import analyze_partitions
-                with trace_span("enrichment", chains=len(chains), jobs=jobs):
-                    def run_enrichment():
-                        return analyze_partitions(
-                            chains, registry=self.registry,
-                            disclosures=self.disclosures,
-                            interception_keys=frozenset(
-                                interception.issuer_name_keys),
-                            jobs=jobs, supervise=supervise)
-                    enriched = staged("enrichment", run_enrichment)
-
-                # Reassemble in the chain map's insertion order so list
-                # and Counter orderings match the serial pass exactly.
-                # A chain whose partition was dropped by the supervisor
-                # (quarantined with in-driver fallback disabled) has no
-                # category — skip it loudly rather than KeyError the run.
-                categorized = CategorizedChains()
-                dropped = 0
-                for key, chain in chains.items():
-                    category = enriched.categories.get(key)
-                    if category is None:
-                        dropped += 1
-                        continue
-                    categorized.add(category, chain)
-                if dropped:
-                    log.warning(
-                        "chains lost to dropped enrichment partitions",
-                        extra=kv(dropped=dropped, total=len(chains)))
-                for category in ChainCategory:
-                    instruments.PIPELINE_CATEGORY_CHAINS.inc(
-                        categorized.chain_count(category),
-                        category=category.value)
-                classifier.preload(enriched.classes)
-                hybrid_chains = categorized.chains(ChainCategory.HYBRID)
-                analyses = []
-                for chain in hybrid_chains:
-                    analysis = enriched.hybrid_by_key[chain.key]
-                    # Rebind to the driver's objects: the worker's copies
-                    # crossed a pickle boundary, and downstream consumers
-                    # expect the analysis to reference the same chain the
-                    # result's chain map holds.
-                    analysis.chain = chain
-                    analysis.structure.certificates = chain.certificates
-                    analyses.append(analysis)
-                hybrid = HybridReport(analyses=analyses)
-                for key, (with_leaf, without_leaf) in \
-                        enriched.structures.items():
-                    certificates = chains[key].certificates
-                    with_leaf.certificates = certificates
-                    without_leaf.certificates = certificates
-                    structure_cache[key + ("L",)] = with_leaf
-                    structure_cache[key + ("N",)] = without_leaf
+            # Stage 3 — mismatch/cross-sign + path detection on hybrids.
+            hybrid_chains = categorized.chains(ChainCategory.HYBRID)
+            with trace_span("hybrid_analysis", chains=len(hybrid_chains)):
+                def run_hybrid() -> HybridReport:
+                    hybrid_analyzer = HybridAnalyzer(classifier,
+                                                     self.disclosures)
+                    return hybrid_analyzer.analyze(hybrid_chains)
+                hybrid = staged("hybrid", run_hybrid)
 
             # Stage 4 — special populations.
             with trace_span("special_populations"):
@@ -511,7 +412,6 @@ class ChainStructureAnalyzer:
             dga_clusters=dga,
             classifier=classifier,
             disclosures=self.disclosures,
-            _structure_cache=structure_cache,
         )
         if artifacts is not None:
             artifacts.save("analysis", artifact_fp, self._dehydrate(result))

@@ -9,9 +9,9 @@ Three modes:
   which is what a network operator would point this tool at.  A single
   pair (``--ssl-log``/``--x509-log``) or a directory of shard pairs
   (``--shard-dir``) both go through the parallel ingestion engine;
-  ``--jobs N`` fans shards out across worker processes — and switches the
-  analysis stage to the sharded enrichment engine — with output
-  guaranteed identical to ``--jobs 1`` (see docs/PERFORMANCE.md).
+  ``--jobs N`` fans shards out across worker processes with output
+  guaranteed identical to ``--jobs 1`` (see docs/PERFORMANCE.md), and
+  the chain analysis then runs serially over the merged chain map.
   ``--analysis-cache DIR`` serves a whole repeated analysis from a
   content-addressed artifact store.
 * **generate** (``repro-experiments generate --out DIR --jobs N``) —
@@ -106,10 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="analyze a directory of ssl*/x509* shard "
                              "pairs instead of a single log pair")
     parser.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                        help="worker processes for log ingestion and chain "
-                             "analysis (default: CPU count for ingestion, "
-                             "serial analysis; capped at the CPU and shard "
-                             "counts)")
+                        help="worker processes for log ingestion (default: "
+                             "CPU count; capped at the CPU and shard "
+                             "counts); chain analysis always runs serially")
     parser.add_argument("--no-columnar", action="store_true",
                         help="ingest through the row-object readers instead "
                              "of the columnar struct-of-arrays hot path "
@@ -232,8 +231,8 @@ def _supervisor_config(args: argparse.Namespace,
 
     Returns ``None`` when no supervisor flag was given — the engines then
     resolve their built-in defaults.  Each engine journals into its own
-    subdirectory of ``--run-journal`` (``ingest``/``analysis``/
-    ``generate``) so task ids cannot collide across engines.
+    subdirectory of ``--run-journal`` (``ingest``/``generate``) so task
+    ids cannot collide across engines.
     """
     timeout = getattr(args, "task_timeout", None)
     retries = getattr(args, "max_task_retries", None)
@@ -328,7 +327,6 @@ def _analyze_logs(args: argparse.Namespace,
     tolerant = plan is not None or bool(args.quarantine_out)
     quarantine = Quarantine() if tolerant else None
     ingest_supervise = _supervisor_config(args, "ingest")
-    analysis_supervise = _supervisor_config(args, "analysis")
     try:
         if args.shard_dir:
             corpus_label = args.shard_dir
@@ -354,6 +352,10 @@ def _analyze_logs(args: argparse.Namespace,
         print(f"certchain-analyze: malformed Zeek log: {exc}",
               file=sys.stderr)
         return 2
+    finally:
+        if (ingest_supervise is not None
+                and ingest_supervise.journal is not None):
+            ingest_supervise.journal.close()
     checkpoint = (CheckpointStore(args.checkpoint_dir)
                   if args.checkpoint_dir else None)
     artifacts = (ArtifactStore(args.analysis_cache)
@@ -361,15 +363,8 @@ def _analyze_logs(args: argparse.Namespace,
     # Without a trust-store snapshot every issuer is non-public; callers
     # embedding the library can supply their own registry.
     analyzer = ChainStructureAnalyzer(build_public_pki().registry)
-    try:
-        result = analyzer.analyze_ingest(ingest, checkpoint=checkpoint,
-                                         resume=args.resume, jobs=args.jobs,
-                                         artifacts=artifacts,
-                                         supervise=analysis_supervise)
-    finally:
-        for config in (ingest_supervise, analysis_supervise):
-            if config is not None and config.journal is not None:
-                config.journal.close()
+    result = analyzer.analyze_ingest(ingest, checkpoint=checkpoint,
+                                     resume=args.resume, artifacts=artifacts)
     rows = [[row["category"], row["chains"], row["connections"],
              row["client_ips"]]
             for row in result.categorized.summary_rows()]

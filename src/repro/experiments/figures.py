@@ -140,14 +140,15 @@ def _complex_figure(dataset: CampusDataset, category: ChainCategory,
     graph = build_issuance_graph(result.categorized.chains(category))
     summary = summarize_graph(graph)
     sub = complex_subgraph(graph)
+    roles = Counter(sub.nodes[n]["role"] for n in sub)
     rows = [
         ["issuance-graph nodes", "-", summary.nodes, ""],
         ["issuance-graph edges", "-", summary.edges, ""],
         ["complex intermediates (>=3 links)", ">= 1",
          summary.complex_intermediates, "Appendix I criterion"],
         ["complex subgraph nodes", "-", sub.number_of_nodes(), ""],
-        ["complex subgraph roles", "-",
-         str(dict(Counter(sub.nodes[n].get("role") for n in sub))), ""],
+        ["complex subgraph roles", "-", str(dict(sorted(roles.items()))),
+         ""],
     ]
     rendered = comparison_table(title, rows)
     return ExperimentResult(exp_id, title, rendered, {

@@ -94,7 +94,7 @@ DEFAULT_GATES: Tuple[Gate, ...] = (
     Gate("BENCH_ingest", "read.columnar_rows_per_second", 250_000),
     Gate("BENCH_ingest", "read.columnar_over_compiled", 2.0),
     Gate("BENCH_ingest", "engine.1.speedup_vs_serial", 1.1),
-    Gate("BENCH_analyze", "engine.1.chains_per_second", 5_000),
+    Gate("BENCH_analyze", "serial.chains_per_second", 5_000),
     Gate("BENCH_analyze", "artifact.warm_speedup", 5),
     Gate("BENCH_generate", "write.compiled_over_legacy", 1.5),
     Gate("BENCH_generate", "engine.1.rows_written_per_second", 5_000),

@@ -116,26 +116,8 @@ PARALLEL_SHARD_SECONDS = _R.histogram(
     "repro_parallel_shard_seconds",
     "Wall-clock seconds one worker spent ingesting one shard.")
 
-# -- parallel analysis --------------------------------------------------------
+# -- analysis artifact cache --------------------------------------------------
 
-ANALYSIS_PARTITIONS = _R.counter(
-    "repro_analysis_partitions_total",
-    "Chain partitions processed by the parallel analysis engine, "
-    "by outcome.",
-    labelnames=("outcome",))
-ANALYSIS_CHAINS = _R.counter(
-    "repro_analysis_chains_total",
-    "Chains enriched through the parallel analysis engine, by stage.",
-    labelnames=("stage",))
-ANALYSIS_WORKERS = _R.gauge(
-    "repro_analysis_workers",
-    "Worker processes used by the most recent parallel analysis.")
-ANALYSIS_PARTITION_SECONDS = _R.histogram(
-    "repro_analysis_partition_seconds",
-    "Wall-clock seconds one worker spent enriching one chain partition.")
-ANALYSIS_STRUCTURES = _R.counter(
-    "repro_analysis_structures_total",
-    "ChainStructure objects computed eagerly by the analysis engine.")
 ANALYSIS_ARTIFACTS = _R.counter(
     "repro_analysis_artifacts_total",
     "Content-addressed analysis artifact events (hit/miss/stale/corrupt/"

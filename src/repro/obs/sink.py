@@ -73,8 +73,8 @@ class WorkerSpan:
 class WorkerTelemetry:
     """Everything one worker unit observed — picklable for the pool.
 
-    ``kind`` names the engine (``ingest``/``analysis``/``generate``/
-    ``scan``); ``unit`` is the shard / partition / batch index the
+    ``kind`` names the engine (``ingest``/``generate``/``scan``);
+    ``unit`` is the shard / interval / batch index the
     driver labels the merged record with.  ``pid`` and
     ``started_epoch`` (``time.time()`` at capture start) let the trace
     exporter place this worker's spans on the driver's timeline.

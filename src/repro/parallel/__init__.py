@@ -1,6 +1,6 @@
-"""Parallel sharded generation, ingestion, and analysis.
+"""Parallel sharded generation and ingestion.
 
-Three engines share the same map-reduce discipline — partials merged in
+Two engines share the same map-reduce discipline — partials merged in
 a deterministic index order, workers recording no metrics, the driver
 emitting canonical values — so outputs are byte-identical at any
 ``--jobs``:
@@ -12,13 +12,13 @@ emitting canonical values — so outputs are byte-identical at any
   dataset write-out byte for byte;
 * **ingestion** (:mod:`repro.parallel.engine`): map shard files over
   worker processes, reduce with ``ChainUsage.merge`` into the exact
-  chain map a serial pass yields;
-* **analysis** (:mod:`repro.parallel.analysis`): partition the merged
-  chain map by a stable hash of the chain key, enrich each partition
-  (classify, categorise, eager ``ChainStructure``), merge in partition
-  order.
+  chain map a serial pass yields.
 
-All three (plus the scanner's ``scan_many``) dispatch through the
+Chain analysis runs serially over the merged chain map
+(:class:`repro.core.pipeline.ChainStructureAnalyzer`): it is per-chain
+work far cheaper than pickling the chains out to a pool.
+
+Both (plus the scanner's ``scan_many``) dispatch through the
 **supervised executor** (:mod:`repro.parallel.supervisor`): worker
 crashes and hangs are absorbed by bounded retry on a rebuilt pool,
 poison tasks are quarantined and recovered in-driver, and an attached
@@ -26,21 +26,11 @@ poison tasks are quarantined and recovered in-driver, and an attached
 resumable at task granularity — all without touching the byte-identical
 merge guarantee.  See ``docs/RESILIENCE.md`` ("Supervised execution").
 
-See ``docs/PERFORMANCE.md`` for the three models and the determinism
+See ``docs/PERFORMANCE.md`` for the models and the determinism
 guarantees, and ``benchmarks/test_generate_scaling.py`` /
-``benchmarks/test_parallel_scaling.py`` /
-``benchmarks/test_analysis_scaling.py`` for the tracked speedup numbers.
+``benchmarks/test_parallel_scaling.py`` for the tracked speedup numbers.
 """
 
-from .analysis import (
-    AnalysisPartial,
-    AnalysisTask,
-    EnrichedChains,
-    analyze_partitions,
-    effective_analysis_jobs,
-    partition_index,
-    process_partition,
-)
 from .engine import IngestResult, ingest_logs, ingest_shards
 from .generate import (
     GenerateResult,
@@ -65,10 +55,7 @@ from .worker import (
 )
 
 __all__ = [
-    "AnalysisPartial",
-    "AnalysisTask",
     "ColumnarShardAggregate",
-    "EnrichedChains",
     "GenerateResult",
     "GenerateShardResult",
     "GenerateTask",
@@ -80,13 +67,10 @@ __all__ = [
     "SupervisorConfig",
     "SupervisorIncident",
     "run_supervised",
-    "analyze_partitions",
     "discover_shards",
-    "effective_analysis_jobs",
     "generate_dataset",
     "ingest_logs",
     "ingest_shards",
-    "partition_index",
     "process_generate_shard",
     "process_shard",
     "process_shard_columnar",

@@ -4,8 +4,8 @@ The engines in this package used to ride a bare ``ProcessPoolExecutor``:
 one worker segfault raised ``BrokenProcessPool`` and aborted the whole
 run, a hung worker stalled it forever, and a driver crash lost every
 completed shard.  :func:`run_supervised` is the shared dispatch layer
-that closes those three holes for all four fan-out paths (shard ingest,
-partition analysis, dataset generation, batch scanning):
+that closes those three holes for all three fan-out paths (shard ingest,
+dataset generation, batch scanning):
 
 * **Crash recovery.**  ``BrokenProcessPool`` no longer propagates: the
   dead pool is torn down (:func:`~repro.parallel.pool.kill_pool` — no
@@ -37,7 +37,7 @@ partition analysis, dataset generation, batch scanning):
 **Determinism.**  None of this touches the byte-identical merge
 guarantee: results come back in task-list order no matter which pool,
 attempt, or journal replay produced each one, and the engines keep
-merging partials in shard/partition/interval/batch order.  Ordinary
+merging partials in shard/interval/batch order.  Ordinary
 exceptions raised by the task function itself (a malformed shard in
 strict mode, say) are *not* infrastructure failures: they are never
 retried, and when several tasks fail this way the error of the

@@ -23,7 +23,7 @@ recomputes.  Events are counted on ``repro_supervisor_journal_total``.
 The journal keys on task ids and input fingerprints only — not on the
 full engine configuration — so a journal directory belongs to one run
 configuration.  The CLI namespaces per-engine subdirectories
-(``<dir>/ingest``, ``<dir>/analysis``, ``<dir>/generate``) under
+(``<dir>/ingest``, ``<dir>/generate``) under
 ``--run-journal`` for exactly that reason.
 """
 

@@ -4,12 +4,15 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
 from repro.campus.dataset import cached_campus_dataset
 from repro.experiments.cli import main
 from repro.faults import NO_FAULTS, active_plan
+from repro.obs import instruments
+from repro.parallel import split_zeek_log
 
 #: The acceptance scenario: 5% row corruption, 10% scan timeouts.
 CHAOS_PLAN = "zeek_corrupt_rate=0.05,scan_timeout_rate=0.10"
@@ -140,3 +143,21 @@ class TestCheckpointResume:
         second_out = capsys.readouterr().out
         assert second_out == first_out
         assert "recomputing" not in second_out
+
+    def test_checkpoints_resume_across_jobs(self, logs_dir, tmp_path,
+                                            capsys):
+        # Stage names do not depend on --jobs: a checkpoint written by a
+        # default run serves every stage of a --jobs 2 resume.
+        ssl_path, x509_path = logs_dir
+        shard_dir = tmp_path / "shards"
+        split_zeek_log(ssl_path, str(shard_dir), 2)
+        shutil.copy(x509_path, shard_dir / "x509.log")
+        args = ["--shard-dir", str(shard_dir),
+                "--checkpoint-dir", str(tmp_path / "ckpt")]
+        assert main(args) == 0
+        cold_out = capsys.readouterr().out
+        assert main(args + ["--jobs", "2", "--resume"]) == 0
+        assert capsys.readouterr().out == cold_out
+        for stage in ("interception", "categorize", "hybrid", "dga"):
+            assert instruments.CHECKPOINT_STAGES.value(
+                stage=stage, result="loaded") == 1, stage

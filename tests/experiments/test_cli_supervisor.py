@@ -111,11 +111,11 @@ class TestJournalResume:
                 "--run-journal", str(journal_dir)]
         assert main(args) == 0
         first_out = capsys.readouterr().out
-        # One namespaced journal per engine; four ingest shards.
+        # Only ingestion dispatches tasks; four ingest shards.
         ingest_lines = (journal_dir / "ingest"
                         / "journal.jsonl").read_text().splitlines()
         assert len(ingest_lines) == 4
-        assert (journal_dir / "analysis" / "journal.jsonl").exists()
+        assert not (journal_dir / "analysis").exists()
 
         assert main(args + ["--resume"]) == 0
         resumed_out = capsys.readouterr().out

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.campus import cached_campus_dataset
@@ -43,6 +47,23 @@ def test_experiment_runs_and_renders(exp_id, dataset):
     assert len(lines) >= 4
     assert set(lines[2]) <= {"-", " "}
     assert result.measured
+
+
+class TestHashSeedIndependence:
+    def test_complex_figures_identical_under_any_hash_seed(self):
+        """Figures 7/8 count subgraph roles over a node set; the printed
+        tables must not depend on string-hash randomisation."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        outputs = set()
+        for hash_seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.abspath(src))
+            outputs.add(subprocess.run(
+                [sys.executable, "-m", "repro.experiments.cli",
+                 "--scale", "small", "-e", "figure7", "-e", "figure8"],
+                check=True, env=env, capture_output=True, text=True,
+                timeout=300).stdout)
+        assert len(outputs) == 1
 
 
 class TestCLI:

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.pipeline import ChainStructureAnalyzer
 from repro.parallel import ingest_shards
-from repro.parallel.analysis import analyze_partitions
 from repro.scan.scanner import ActiveScanner
 
 
@@ -28,21 +27,10 @@ class TestEmptyIngest:
 
 
 class TestEmptyAnalysis:
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_zero_chains_through_partition_engine(self, registry,
-                                                  disclosures, jobs):
-        enriched = analyze_partitions({}, registry=registry,
-                                      disclosures=disclosures,
-                                      interception_keys=frozenset(),
-                                      jobs=jobs)
-        assert enriched.categories == {}
-        assert enriched.hybrid_by_key == {}
-        assert enriched.structures == {}
-
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_zero_chains_through_pipeline(self, registry, jobs):
-        result = ChainStructureAnalyzer(registry).analyze_chains(
-            {}, jobs=jobs)
+        result = ChainStructureAnalyzer(registry).analyze_ingest(
+            ingest_shards([], jobs=jobs))
         assert result.chains == {}
         assert result.categorized.summary_rows() is not None
         assert result.hybrid.analyses == []

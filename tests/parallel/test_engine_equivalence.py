@@ -11,6 +11,7 @@ and checkpoint fingerprints.
 
 from __future__ import annotations
 
+import os
 import shutil
 
 import pytest
@@ -232,3 +233,12 @@ class TestColumnarToggleEquivalence:
                 supervise=SupervisorConfig(journal=journal, resume=True))
         assert resumed.supervisor.journal_replayed >= 1
         assert canon(resumed.chains) == canon(reference)
+
+
+class TestIngestJobsClamp:
+    def test_requested_jobs_recorded_and_clamped(self, corpus):
+        ingest = ingest_logs(corpus["ssl"], corpus["x509"], jobs=64)
+        assert ingest.requested_jobs == 64
+        # One shard and a finite CPU count both cap the effective value.
+        assert ingest.jobs == 1
+        assert ingest.jobs <= (os.cpu_count() or 1)

@@ -2,10 +2,9 @@
 
 The supervised dispatch layer's end-to-end contract, pinned per engine:
 under a fault plan that crashes workers mid-task and hangs others, each
-fan-out path (shard ingest, partition analysis, dataset generation,
-batch scanning) produces output *byte-identical* to a fault-free serial
-run — recovery changes wall-clock and incident counters, never a single
-merged byte.  And a driver killed mid-ingest resumes from its run
+fan-out path (shard ingest, dataset generation, batch scanning) produces
+output *byte-identical* to a fault-free serial run — recovery changes
+wall-clock and incident counters, never a single merged byte.  And a driver killed mid-ingest resumes from its run
 journal, replaying completed shards instead of recomputing them.
 
 Fault-plan seeds are chosen so the injector's deterministic draws
@@ -22,8 +21,6 @@ from __future__ import annotations
 import pytest
 
 from repro.campus.dataset import cached_campus_dataset, resolve_scale
-from repro.core.categorization import ChainCategory
-from repro.core.pipeline import ChainStructureAnalyzer
 from repro.faults import FaultPlan
 from repro.obs import instruments
 from repro.parallel import (discover_shards, generate_dataset, ingest_shards,
@@ -48,7 +45,6 @@ INGEST_HANG_ONLY = FaultPlan(seed="hang-12", worker_hang_rate=0.5)
 
 #: First-attempt crashes on ≥2 tasks of the respective engine's id
 #: space, clearing on the next draw.
-ANALYSIS_CHAOS = FaultPlan(seed="an-19", worker_crash_rate=0.3)
 GENERATE_CHAOS = FaultPlan(seed="gen-4", worker_crash_rate=0.2)
 SCAN_CHAOS = FaultPlan(seed="scan-66", worker_crash_rate=0.5)
 
@@ -143,25 +139,6 @@ class TestIngestChaos:
         assert report["kind"] == "ingest"
         assert report["incidents"]  # the chaos actually happened
         json.dumps(report)  # must serialize as-is for --run-report
-
-
-class TestAnalysisChaos:
-    def test_tables_identical_under_crash_plan(self, corpus, reference,
-                                               registry):
-        serial = ChainStructureAnalyzer(registry).analyze_ingest(
-            reference["ingest"])
-        serial_stats = serial.multicert_path_stats(
-            ChainCategory.NON_PUBLIC_ONLY)
-        config = SupervisorConfig(plan=ANALYSIS_CHAOS, max_task_retries=2)
-        before = incident_count("analysis", "worker_crash")
-        chaotic = ChainStructureAnalyzer(registry).analyze_ingest(
-            reference["ingest"], jobs=4, supervise=config)
-        assert incident_count("analysis", "worker_crash") - before >= 2
-        assert chaotic.categorized.summary_rows() == \
-            serial.categorized.summary_rows()
-        assert chaotic.multicert_path_stats(ChainCategory.NON_PUBLIC_ONLY) \
-            == serial_stats
-        assert len(chaotic.chains) == len(serial.chains)
 
 
 class TestGenerateChaos:

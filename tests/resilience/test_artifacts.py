@@ -9,6 +9,7 @@ disk with identical tables.
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.campus.dataset import cached_campus_dataset
 from repro.core.categorization import ChainCategory
 from repro.core.chain import aggregate_chains
 from repro.obs import instruments
+from repro.parallel import discover_shards, ingest_shards, split_zeek_log
 from repro.resilience import ArtifactStore
 
 
@@ -97,32 +99,38 @@ class TestWarmAnalysis:
     def test_second_run_served_from_disk_with_identical_tables(
             self, dataset, chains, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        cold = dataset.analyzer().analyze_chains(chains, jobs=1,
-                                                 artifacts=store)
+        cold = dataset.analyzer().analyze_chains(chains, artifacts=store)
         assert store.artifacts_present()
         hits = instruments.ANALYSIS_ARTIFACTS.value(result="hit")
-        warm = dataset.analyzer().analyze_chains(chains, jobs=1,
-                                                 artifacts=store)
+        warm = dataset.analyzer().analyze_chains(chains, artifacts=store)
         assert instruments.ANALYSIS_ARTIFACTS.value(result="hit") == hits + 1
         assert self.render(warm) == self.render(cold)
 
-    def test_serial_and_parallel_share_one_artifact(self, dataset, chains,
+    def test_serial_and_parallel_share_one_artifact(self, dataset,
                                                     tmp_path):
-        """jobs is deliberately absent from the fingerprint: the engines
-        are byte-identical, so a warm artifact serves any worker count."""
-        store = ArtifactStore(str(tmp_path))
-        cold = dataset.analyzer().analyze_chains(chains, artifacts=store)
+        """The ingest worker count is absent from the address: chain maps
+        merged at any --jobs are identical, so one artifact serves all."""
+        ssl_path, x509_path = dataset.write_zeek_logs(str(tmp_path / "logs"))
+        shard_dir = tmp_path / "shards"
+        split_zeek_log(ssl_path, str(shard_dir), 4)
+        shutil.copy(x509_path, shard_dir / "x509.log")
+        shards = discover_shards(str(shard_dir))
+        store = ArtifactStore(str(tmp_path / "artifacts"))
+        cold = dataset.analyzer().analyze_ingest(
+            ingest_shards(shards, jobs=1), artifacts=store)
         assert len(store.artifacts_present()) == 1
-        warm = dataset.analyzer().analyze_chains(chains, jobs=4,
-                                                 artifacts=store)
+        hits = instruments.ANALYSIS_ARTIFACTS.value(result="hit")
+        warm = dataset.analyzer().analyze_ingest(
+            ingest_shards(shards, jobs=2), artifacts=store)
+        assert instruments.ANALYSIS_ARTIFACTS.value(result="hit") == hits + 1
         assert len(store.artifacts_present()) == 1
         assert self.render(warm) == self.render(cold)
 
     def test_different_chain_map_recomputes(self, dataset, chains,
                                             tmp_path):
         store = ArtifactStore(str(tmp_path))
-        dataset.analyzer().analyze_chains(chains, jobs=1, artifacts=store)
+        dataset.analyzer().analyze_chains(chains, artifacts=store)
         subset = dict(list(chains.items())[:10])
-        dataset.analyzer().analyze_chains(subset, jobs=1, artifacts=store)
+        dataset.analyzer().analyze_chains(subset, artifacts=store)
         # A different input is a different address — both artifacts coexist.
         assert len(store.artifacts_present()) == 2
