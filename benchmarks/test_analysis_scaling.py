@@ -7,12 +7,16 @@ save) against warm (served from disk), and persists every number to
 ``REPRO_BENCH_ANALYZE_OUT``) so CI can archive and gate on it.
 
 Two gates: a serial throughput floor, and the warm artifact run at
-least 5x faster than a cold compute + save.  Every round's sample is
-recorded next to the best-of-rounds figure the gates read.
+least 5x faster than a cold compute + save.  Cold and warm are timed in
+interleaved rounds of at least ``AB_ROUND_SECONDS`` each (the operation
+repeated within a round), so runner load hits both sides alike.  Every
+round's sample and cold/warm ratio is recorded next to the best-of-rounds
+figure the gates read.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -21,10 +25,11 @@ import pytest
 
 from repro.core import matching
 from repro.core.chain import aggregate_chains
-from repro.obs.benchreport import host_metadata
+from repro.obs.benchreport import host_metadata, interleaved_rounds, round_ratios
 from repro.resilience import ArtifactStore
 
 ROUNDS = 5
+AB_ROUND_SECONDS = 0.5
 BENCH_OUT = os.environ.get(
     "REPRO_BENCH_ANALYZE_OUT",
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -54,25 +59,31 @@ def analysis_bench(dataset, tmp_path_factory):
 
     serial = _cold_samples(lambda: dataset.analyzer().analyze_chains(chains))
 
-    # Artifact cache: cold rounds get a fresh store each (compute + save);
-    # warm rounds share one pre-primed store.
+    # Artifact cache: every cold call gets a fresh store (compute +
+    # save, match memo cleared); warm calls share one pre-primed store.
     base = tmp_path_factory.mktemp("artifact-bench")
-    cold_stores = iter(ArtifactStore(str(base / f"cold-{i}"))
-                       for i in range(ROUNDS))
-    cold = _cold_samples(
-        lambda: dataset.analyzer().analyze_chains(
-            chains, artifacts=next(cold_stores)))
+    cold_stores = (ArtifactStore(str(base / f"cold-{i}"))
+                   for i in itertools.count())
+
+    def cold_call():
+        matching._MATCH_MEMO.clear()
+        dataset.analyzer().analyze_chains(chains,
+                                          artifacts=next(cold_stores))
+
     warm_store = ArtifactStore(str(base / "warm"))
     dataset.analyzer().analyze_chains(chains, artifacts=warm_store)
-    warm = [_timed(lambda: dataset.analyzer().analyze_chains(
-                chains, artifacts=warm_store))
-            for _ in range(ROUNDS)]
+    cold, warm = interleaved_rounds(
+        cold_call,
+        lambda: dataset.analyzer().analyze_chains(chains,
+                                                  artifacts=warm_store),
+        rounds=ROUNDS, min_seconds=AB_ROUND_SECONDS)
 
     numbers = {
         "dataset": {"chains": count},
         "cpu_count": os.cpu_count(),
         "host": host_metadata(),
         "rounds": ROUNDS,
+        "ab_round_seconds": AB_ROUND_SECONDS,
         "serial": {"seconds": min(serial),
                    "chains_per_second": count / min(serial),
                    "samples": serial},
@@ -82,6 +93,7 @@ def analysis_bench(dataset, tmp_path_factory):
             "warm_speedup": min(cold) / min(warm),
             "cold_samples": cold,
             "warm_samples": warm,
+            **round_ratios(cold, warm),
         },
     }
     with open(BENCH_OUT, "w", encoding="utf-8") as handle:

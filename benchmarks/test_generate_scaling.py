@@ -9,7 +9,10 @@ number to ``BENCH_generate.json`` (repo root; override with
 Generation re-runs the whole simulation per round, so this benchmark
 uses the small scale by default (``REPRO_BENCH_GENERATE_SCALE`` to
 override) — scale changes move absolute numbers, not the compiled-vs-
-legacy ratio or the jobs scaling the gates assert.  The multi-core
+legacy ratio or the jobs scaling the gates assert.  The two ratio
+gates (compiled/legacy writer, DER part memos) time their sides in
+interleaved rounds of at least ``AB_ROUND_SECONDS`` each, the operation
+repeated within a round, and record every round's ratio.  The multi-core
 speedup assertion only runs where multi-core speedup is physically
 possible and the clamp actually granted more than one worker.
 """
@@ -25,13 +28,15 @@ import time
 import pytest
 
 from repro.campus.dataset import build_campus_dataset, resolve_scale
-from repro.obs.benchreport import host_metadata
+from repro.obs.benchreport import host_metadata, interleaved_rounds, round_ratios
 from repro.parallel.generate import generate_dataset
 from repro.x509 import der
 from repro.zeek.format import ZeekLogWriter
 from repro.zeek.records import SSLRecord
 
 ROUNDS = 3
+AB_ROUNDS = 5
+AB_ROUND_SECONDS = 0.5
 JOBS_MATRIX = (1, 2, 4)
 GEN_SEED = os.environ.get("REPRO_BENCH_GENERATE_SEED", "0")
 GEN_SCALE = os.environ.get("REPRO_BENCH_GENERATE_SCALE", "small")
@@ -67,8 +72,11 @@ def generate_bench(tmp_path_factory):
             for row in ssl_rows:
                 writer.write_row(row)
 
-    write_compiled = _best(lambda: write_all(True))
-    write_legacy = _best(lambda: write_all(False))
+    compiled_samples, legacy_samples = interleaved_rounds(
+        lambda: write_all(True), lambda: write_all(False),
+        rounds=AB_ROUNDS, min_seconds=AB_ROUND_SECONDS)
+    write_compiled = min(compiled_samples)
+    write_legacy = min(legacy_samples)
 
     # The DER component memos: encoding every distinct certificate with
     # all memos cleared (cold) vs with the shared name/extension blocks
@@ -84,8 +92,11 @@ def generate_bench(tmp_path_factory):
         for certificate in certificates:
             der.encode_certificate_der(certificate)
 
-    der_cold = _best(lambda: encode_all(False))
-    der_part_warm = _best(lambda: encode_all(True))
+    cold_samples, part_warm_samples = interleaved_rounds(
+        lambda: encode_all(False), lambda: encode_all(True),
+        rounds=AB_ROUNDS, min_seconds=AB_ROUND_SECONDS)
+    der_cold = min(cold_samples)
+    der_part_warm = min(part_warm_samples)
 
     # The full engine: simulate + render + write, per jobs value.
     base = tmp_path_factory.mktemp("generate-scaling")
@@ -116,18 +127,26 @@ def generate_bench(tmp_path_factory):
             effective_jobs=engine_results[max(JOBS_MATRIX)].jobs),
         "shards": engine_results[1].shard_count,
         "rounds": ROUNDS,
+        "ab_rounds": AB_ROUNDS,
+        "ab_round_seconds": AB_ROUND_SECONDS,
         "write": {
             "compiled_seconds": write_compiled,
             "legacy_seconds": write_legacy,
             "compiled_rows_per_second": rows / write_compiled,
             "legacy_rows_per_second": rows / write_legacy,
             "compiled_over_legacy": write_legacy / write_compiled,
+            "compiled_samples": compiled_samples,
+            "legacy_samples": legacy_samples,
+            **round_ratios(legacy_samples, compiled_samples),
         },
         "der": {
             "certificates": len(certificates),
             "cold_seconds": der_cold,
             "part_warm_seconds": der_part_warm,
             "part_memo_speedup": der_cold / der_part_warm,
+            "cold_samples": cold_samples,
+            "part_warm_samples": part_warm_samples,
+            **round_ratios(cold_samples, part_warm_samples),
         },
         "engine_legacy_writer": {
             "seconds": legacy_engine_seconds,

@@ -151,6 +151,7 @@ class WorkloadGenerator:
             "permissive": PermissivePolicy(),
         }
         self._trusting_cache: Dict[tuple, BrowserPolicy] = {}
+        self._server_ips: Dict[Optional[str], str] = {}
 
     # -- policy selection -----------------------------------------------------
 
@@ -303,11 +304,16 @@ class WorkloadGenerator:
 
     def _server_ip(self, spec: ChainSpec) -> str:
         # Stable per-server external address (seeded, not hash()-based, so
-        # it is reproducible across interpreter runs).
-        rng = random.Random(f"srvip:{spec.server_id}")
-        return (f"{rng.choice((93, 104, 151, 172, 185, 198, 203))}."
-                f"{rng.randint(1, 254)}.{rng.randint(1, 254)}."
-                f"{rng.randint(1, 254)}")
+        # it is reproducible across interpreter runs).  A pure function of
+        # ``server_id``, drawn once per generator rather than once per cell.
+        ip = self._server_ips.get(spec.server_id)
+        if ip is None:
+            rng = random.Random(f"srvip:{spec.server_id}")
+            ip = (f"{rng.choice((93, 104, 151, 172, 185, 198, 203))}."
+                  f"{rng.randint(1, 254)}.{rng.randint(1, 254)}."
+                  f"{rng.randint(1, 254)}")
+            self._server_ips[spec.server_id] = ip
+        return ip
 
 
 def _normalized(entries: Sequence[tuple[int, float]]) -> list[tuple[int, float]]:

@@ -16,7 +16,8 @@ existing gates, now with the history that explains them.
 Also home to :func:`host_metadata`, the shared helper every bench
 writer embeds so trajectory comparisons across runners are sound (a
 30k rows/s "regression" that is actually a 1-CPU runner is visible as
-such).
+such), and to :func:`interleaved_rounds` / :func:`round_ratios`, the
+measurement behind the ratio gates.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ import json
 import os
 import platform
 import sys
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.report import render_table
 
 __all__ = ["Gate", "BenchRun", "DEFAULT_GATES", "host_metadata",
+           "interleaved_rounds", "round_ratios",
            "flatten_numbers", "load_history", "build_rows", "main"]
 
 #: Bench file stems the reporter knows about, in pipeline order.
@@ -59,6 +62,49 @@ def host_metadata(*, requested_jobs: Optional[int] = None,
     if effective_jobs is not None:
         meta["effective_jobs"] = effective_jobs
     return meta
+
+
+def interleaved_rounds(first: Callable[[], object],
+                       second: Callable[[], object], *, rounds: int = 5,
+                       min_seconds: float = 0.5
+                       ) -> Tuple[List[float], List[float]]:
+    """Seconds per call of two operations, over interleaved rounds.
+
+    Rounds alternate ``first``, ``second``, ``first``, ... so load drift
+    on a shared runner lands on both sides alike.  Each round repeats its
+    operation until at least ``min_seconds`` have elapsed and records
+    the mean seconds per call: a ratio of two ~30 ms single shots swings
+    with scheduler noise, a ratio of two half-second averages does not.
+    """
+    def one_round(operation: Callable[[], object]) -> float:
+        calls = 0
+        start = time.perf_counter()
+        while True:
+            operation()
+            calls += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= min_seconds:
+                return elapsed / calls
+
+    first_samples: List[float] = []
+    second_samples: List[float] = []
+    for _ in range(rounds):
+        first_samples.append(one_round(first))
+        second_samples.append(one_round(second))
+    return first_samples, second_samples
+
+
+def round_ratios(numerators: Sequence[float],
+                 denominators: Sequence[float]) -> dict:
+    """Each interleaved round's ratio and the quartiles of those ratios."""
+    # Imported here: every CLI start imports this module, and statistics
+    # pulls in decimal and fractions.
+    import statistics
+
+    ratios = [n / d for n, d in zip(numerators, denominators)]
+    return {"round_ratios": ratios,
+            "ratio_quartiles": statistics.quantiles(ratios, n=4,
+                                                    method="inclusive")}
 
 
 @dataclass(frozen=True, slots=True)

@@ -115,9 +115,10 @@ class GenerateResult:
     supervisor: Optional[SupervisedRun] = None
 
 
-#: Per-process context memo: (seed, scale) -> (context, plans).  Pool
-#: workers process several intervals each; the PKI/population build and
-#: the per-spec plans are identical for all of them, so pay once.
+#: Per-process context memo: (seed, scale) -> (context, plans, first
+#: visible interval per certificate).  Pool workers process several
+#: intervals each; the PKI/population build, the per-spec plans and the
+#: first-appearance scan are identical for all of them, so pay once.
 _CONTEXT_CACHE: Dict[tuple, tuple] = {}
 
 
@@ -129,28 +130,33 @@ def _context_for(seed: int | str, scale: ScaleConfig):
     if cached is None:
         context = build_generation_context(seed=seed, scale=scale)
         plans = [context.generator.plan_for(spec) for spec in context.specs]
-        cached = (context, plans)
+        cached = (context, plans,
+                  _first_visible_intervals(context.specs, plans))
         _CONTEXT_CACHE.clear()  # one live context per worker is plenty
         _CONTEXT_CACHE[key] = cached
     return cached
 
 
-def _preseeded_fingerprints(specs, plans, shard: int) -> set:
-    """Certificates some interval before ``shard`` already introduced.
+def _first_visible_intervals(specs, plans) -> Dict[str, int]:
+    """The interval in which each certificate is first presented.
 
-    Walks earlier intervals in generation order (interval-major, then
-    spec order, then chain order) marking every certificate presented by
-    a cell with at least one monitor-visible connection — exactly the
-    first-appearance order of the serial monitoring tap, recovered from
-    the cheap per-spec plans without simulating anything.
+    A certificate first appears in the earliest interval holding a
+    monitor-visible connection of any spec that presents it.  Interval
+    ``shard``'s worker pre-seeds its seen-fingerprint set with every
+    certificate whose first interval is earlier — exactly the
+    first-appearance state of the serial monitoring tap at that point,
+    recovered from the cheap per-spec plans without simulating anything.
     """
-    seen: set = set()
-    for earlier in range(shard):
-        for spec, plan in zip(specs, plans):
-            if earlier in plan.visible_shards:
-                for certificate in spec.chain:
-                    seen.add(certificate.fingerprint)
-    return seen
+    first: Dict[str, int] = {}
+    for spec, plan in zip(specs, plans):
+        if not plan.visible_shards:
+            continue
+        earliest = min(plan.visible_shards)
+        for certificate in spec.chain:
+            fingerprint = certificate.fingerprint
+            first[fingerprint] = min(first.get(fingerprint, earliest),
+                                     earliest)
+    return first
 
 
 def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
@@ -167,10 +173,11 @@ def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
                                  x509_path=task.x509_path)
     with capture_telemetry("generate", task.shard) as telemetry, \
             trace_span("generate_shard", shard=task.shard):
-        context, plans = _context_for(task.seed, task.scale)
+        context, plans, first = _context_for(task.seed, task.scale)
         specs = context.specs
         generator = context.generator
-        seen = _preseeded_fingerprints(specs, plans, task.shard)
+        seen = {fingerprint for fingerprint, shard in first.items()
+                if shard < task.shard}
         with open(task.ssl_path, "w", encoding="utf-8") as ssl_handle, \
                 open(task.x509_path, "w", encoding="utf-8") as x509_handle:
             with ZeekLogWriter(ssl_handle, "ssl", SSLRecord.FIELDS,

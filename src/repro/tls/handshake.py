@@ -69,6 +69,18 @@ _ALERT_FOR_STATUS = {
 }
 
 
+#: Zeek-style UID token symbols.  62 of them, so ``Random.choice`` draws
+#: ``getrandbits(6)`` and rejects the values 62 and 63.
+_UID_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_UID_LENGTH = 17
+#: Maps the top byte of a 32-bit Mersenne Twister word to the symbol
+#: ``choice`` picks from its top 6 bits (``byte >> 2``); bytes >= 248 are
+#: the words ``choice`` rejects and are deleted by ``bytes.translate``.
+_UID_TABLE = bytes(ord(_UID_ALPHABET[b >> 2]) if b < 248 else 0
+                   for b in range(256))
+_UID_REJECTED = bytes(range(248, 256))
+
+
 class HandshakeSimulator:
     """Drives client↔server handshakes and emits monitor-view records."""
 
@@ -77,11 +89,25 @@ class HandshakeSimulator:
         self._uid_counter = 0
 
     def _next_uid(self) -> str:
-        """Zeek-style connection UID (C + base62-ish random token)."""
+        """Zeek-style connection UID (C + base62-ish random token).
+
+        Draws the exact sequence of 17 ``choice(_UID_ALPHABET)`` calls in
+        bulk: ``getrandbits(544)`` is 17 Twister words, first word least
+        significant, and byte ``4i+3`` is word ``i``'s top byte.  Words
+        ``choice`` would reject are dropped and redrawn one at a time, so
+        the generator ends in the same state (``docs/PERFORMANCE.md``,
+        "Hot-path memos").
+        """
         self._uid_counter += 1
-        alphabet = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        token = "".join(self._rng.choice(alphabet) for _ in range(17))
-        return f"C{token}"
+        rng = self._rng
+        top_bytes = rng.getrandbits(32 * _UID_LENGTH).to_bytes(
+            4 * _UID_LENGTH, "little")[3::4]
+        token = top_bytes.translate(_UID_TABLE, _UID_REJECTED).decode("ascii")
+        while len(token) < _UID_LENGTH:
+            bits = rng.getrandbits(6)
+            if bits < len(_UID_ALPHABET):
+                token += _UID_ALPHABET[bits]
+        return "C" + token
 
     def connect(self, client: TLSClient, server: TLSServer, *,
                 sni: Optional[str] = None,

@@ -114,6 +114,13 @@ class BrowserPolicy(ValidationPolicy):
 
     The first presented certificate is taken as the server certificate
     (RFC 8446 §4.4.2); everything else is merely candidate path material.
+
+    Results are memoized per presented chain (its fingerprint tuple) while
+    ``at`` lies inside the chain's joint validity window, where the verdict
+    cannot depend on time; see ``docs/PERFORMANCE.md``, "Hot-path memos".
+    The memo assumes the registry's stores, and ``extra_anchors``, are not
+    mutated after the first :meth:`validate` call; build the stores first.
+    A policy with a ``revocation`` checker is never memoized.
     """
 
     name = "browser"
@@ -130,6 +137,9 @@ class BrowserPolicy(ValidationPolicy):
         self.check_validity_period = check_validity_period
         #: Browsers soft-fail: UNKNOWN status is tolerated, REVOKED is not.
         self.revocation = revocation
+        #: Presented fingerprints -> [joint validity window (None when
+        #: periods are not checked), result once computed inside it].
+        self._memo: dict[tuple, list] = {}
 
     def _revocation_verdict(self, path: Sequence[Certificate],
                             at: datetime) -> Optional[ValidationResult]:
@@ -159,6 +169,27 @@ class BrowserPolicy(ValidationPolicy):
 
     def validate(self, presented: Sequence[Certificate], *,
                  at: datetime) -> ValidationResult:
+        if not presented or self.revocation is not None:
+            return self._validate(presented, at)
+        key = tuple(certificate.fingerprint for certificate in presented)
+        entry = self._memo.get(key)
+        if entry is None:
+            window = None
+            if self.check_validity_period:
+                window = (max(c.validity.not_before for c in presented),
+                          min(c.validity.not_after for c in presented))
+            entry = self._memo[key] = [window, None]
+        window, result = entry
+        if window is not None and not window[0] <= at <= window[1]:
+            # Outside the joint window some presented certificate is
+            # expired or not yet valid, so the verdict depends on ``at``.
+            return self._validate(presented, at)
+        if result is None:
+            result = entry[1] = self._validate(presented, at)
+        return result
+
+    def _validate(self, presented: Sequence[Certificate],
+                  at: datetime) -> ValidationResult:
         if not presented:
             return ValidationResult(ValidationStatus.EMPTY_CHAIN)
         leaf = presented[0]

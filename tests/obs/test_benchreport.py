@@ -13,8 +13,10 @@ from repro.obs.benchreport import (
     build_rows,
     flatten_numbers,
     host_metadata,
+    interleaved_rounds,
     load_history,
     main,
+    round_ratios,
 )
 
 # A BENCH_ingest payload comfortably above every ingest floor.
@@ -53,6 +55,29 @@ class TestHostMetadata:
         meta = host_metadata(requested_jobs=4, effective_jobs=2)
         assert meta["requested_jobs"] == 4
         assert meta["effective_jobs"] == 2
+
+
+class TestInterleavedRounds:
+    def test_rounds_alternate_sides(self):
+        calls = []
+        first, second = interleaved_rounds(
+            lambda: calls.append("a"), lambda: calls.append("b"),
+            rounds=3, min_seconds=0.0)
+        assert calls == ["a", "b"] * 3
+        assert len(first) == len(second) == 3
+
+    def test_round_repeats_until_min_seconds(self):
+        calls = []
+        first, _ = interleaved_rounds(lambda: calls.append(1), lambda: None,
+                                      rounds=1, min_seconds=0.02)
+        assert len(calls) > 1
+        # A sample is seconds per call, not per round.
+        assert first[0] < 0.02
+
+    def test_round_ratios_and_quartiles(self):
+        summary = round_ratios([2.0, 4.0, 6.0, 8.0, 10.0], [1.0] * 5)
+        assert summary["round_ratios"] == [2.0, 4.0, 6.0, 8.0, 10.0]
+        assert summary["ratio_quartiles"] == [4.0, 6.0, 8.0]
 
 
 class TestFlattenNumbers:

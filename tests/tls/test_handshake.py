@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from datetime import datetime, timezone
 
 import pytest
@@ -86,6 +87,46 @@ class TestHandshake:
         uids = {sim.connect(client, public_server, when=when).record.uid
                 for _ in range(50)}
         assert len(uids) == 50
+
+
+UID_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+class TestUidDraws:
+    """Bulk UID draws replay the per-character ``choice`` sequence."""
+
+    @staticmethod
+    def _reference_uid(rng: random.Random) -> str:
+        return "C" + "".join(rng.choice(UID_ALPHABET) for _ in range(17))
+
+    @pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200),
+                                       [f"workload-hs:0:{s:02d}:x"
+                                        for s in range(20)]])
+    def test_matches_stdlib_choice_and_rng_state(self, seeds):
+        for seed in seeds:
+            sim = HandshakeSimulator(seed=seed)
+            twin = random.Random(f"handshake:{seed}")
+            for _ in range(500):
+                assert sim._next_uid() == self._reference_uid(twin), seed
+                # Same generator state, so the draws that follow (the
+                # client port) are unchanged too.
+                assert sim._rng.getstate() == twin.getstate(), seed
+
+    def test_rejected_words_are_redrawn(self):
+        # At 2 of 64 words rejected per draw, a UID with at least one
+        # redraw turns up within the first few hundred of any seed.
+        sim = HandshakeSimulator(seed=0)
+        twin = random.Random("handshake:0")
+        redraws = 0
+        for _ in range(500):
+            before = twin.getstate()
+            expected = self._reference_uid(twin)
+            probe = random.Random()
+            probe.setstate(before)
+            probe.getrandbits(32 * 17)
+            redraws += probe.getstate() != twin.getstate()
+            assert sim._next_uid() == expected
+        assert redraws > 0
 
 
 class TestMiddlebox:

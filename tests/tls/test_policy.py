@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -13,7 +14,13 @@ from repro.tls.policy import (
     ValidationStatus,
     signature_verifies,
 )
-from repro.x509 import CertificateFactory, name
+from repro.x509 import (
+    CertificateFactory,
+    CertificateRevocationList,
+    RevocationChecker,
+    ValidityPeriod,
+    name,
+)
 
 
 @pytest.fixture()
@@ -176,3 +183,110 @@ class TestSignatureVerifies:
         b = factory.self_signed(name("bare-b"))
         assert not signature_verifies(a, b)
         assert signature_verifies(a, a)
+
+
+class TestValidationMemo:
+    """A memoizing policy answers exactly like a fresh policy per call."""
+
+    @pytest.fixture()
+    def private(self):
+        """A private hierarchy whose intermediate expires before the leaf,
+        plus a longer-lived twin (same subject and key) of that
+        intermediate."""
+        factory = CertificateFactory(seed=21)
+        start = datetime(2020, 6, 1, tzinfo=timezone.utc)
+        root = factory.root(name("Memo Private Root"))
+        short = factory.intermediate(root, name("Memo Issuing CA"),
+                                     not_before=start, lifetime_years=1)
+        twin = replace(short.certificate, serial=factory.serial(),
+                       validity=ValidityPeriod(
+                           start, start + timedelta(days=365 * 5)))
+        leaf = factory.leaf(short, name("memo.example"),
+                            not_before=start + timedelta(days=200),
+                            lifetime_days=398)
+        return root.certificate, short.certificate, twin, leaf
+
+    @staticmethod
+    def _moments(chain):
+        """Instants before, at the edges of, inside and after every
+        member's validity period (so before, inside and after the
+        chain's joint window)."""
+        second = timedelta(seconds=1)
+        moments = set()
+        for certificate in chain:
+            begin = certificate.validity.not_before
+            end = certificate.validity.not_after
+            moments.update((begin - second, begin, begin + (end - begin) / 2,
+                            end, end + second))
+        return sorted(moments)
+
+    def _assert_exact(self, make_policy, chain):
+        memoizing = make_policy()
+        moments = self._moments(chain)
+        for at in moments + moments[::-1]:
+            expected = make_policy().validate(chain, at=at)
+            assert memoizing.validate(chain, at=at) == expected, at
+
+    def _chains(self, le_chain, private):
+        root, short, twin, leaf = private
+        return [le_chain, (leaf, short, root), (leaf, short, twin, root),
+                (leaf, twin, short), (leaf,), (root,)]
+
+    def test_public_policy(self, registry, le_chain, private):
+        for chain in self._chains(le_chain, private):
+            self._assert_exact(lambda: BrowserPolicy(registry), chain)
+
+    def test_restricted_store_policy(self, registry, le_chain, private):
+        nss = registry.restricted_to(["Mozilla"])
+        for chain in self._chains(le_chain, private):
+            self._assert_exact(lambda: BrowserPolicy(nss), chain)
+
+    def test_trusting_policy_with_extra_anchors(self, registry, le_chain,
+                                                private):
+        root = private[0]
+        for chain in self._chains(le_chain, private):
+            self._assert_exact(
+                lambda: BrowserPolicy(registry, extra_anchors=[root]), chain)
+
+    def test_validity_period_unchecked(self, registry, le_chain, private):
+        root = private[0]
+        for chain in self._chains(le_chain, private):
+            self._assert_exact(
+                lambda: BrowserPolicy(registry, extra_anchors=[root],
+                                      check_validity_period=False), chain)
+
+    def test_expired_intermediate_skipped_outside_window(self, registry,
+                                                         private):
+        root, short, twin, leaf = private
+        policy = BrowserPolicy(registry, extra_anchors=[root])
+        inside = short.validity.not_after - timedelta(days=1)
+        after = short.validity.not_after + timedelta(days=1)
+        assert policy.validate((leaf, short, twin, root), at=inside).path \
+            == (leaf, short, root)
+        # Past the short intermediate's expiry the walk must skip it
+        # and build through the twin, not replay the memoized path.
+        assert policy.validate((leaf, short, twin, root), at=after).path \
+            == (leaf, twin, root)
+        assert policy.validate((leaf, short, root), at=inside).ok
+        assert policy.validate((leaf, short, root), at=after).status \
+            is ValidationStatus.UNKNOWN_CA
+
+    def test_repeat_inside_window_is_served_from_memo(self, registry,
+                                                      le_chain, when):
+        policy = BrowserPolicy(registry)
+        first = policy.validate(le_chain, at=when)
+        assert policy.validate(le_chain, at=when + timedelta(days=1)) \
+            is first
+
+    def test_revocation_checker_bypasses_memo(self, registry, pki, when):
+        r3 = pki.ca("lets_encrypt").intermediates["R3"]
+        leaf = CertificateFactory(seed=22).leaf(r3, name("memo-rev.example"))
+        crl = CertificateRevocationList(
+            issuer=r3.certificate.subject,
+            this_update=when - timedelta(days=1),
+            next_update=when + timedelta(days=7))
+        policy = BrowserPolicy(registry, revocation=RevocationChecker([crl]))
+        assert policy.validate((leaf, r3.certificate), at=when).ok
+        crl.revoke(leaf)
+        assert policy.validate((leaf, r3.certificate), at=when).status \
+            is ValidationStatus.REVOKED
