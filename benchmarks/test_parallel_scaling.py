@@ -4,7 +4,11 @@ Measures the legacy serial pipeline (per-line interpreter reader, list
 join, one aggregation pass) against the sharded engine at ``jobs`` 1, 2,
 and 4 over the same corpus, and persists every number to
 ``BENCH_ingest.json`` (repo root; override with ``REPRO_BENCH_INGEST_OUT``)
-so CI can archive and gate on it.
+so CI can archive and gate on it.  At every ``jobs`` value the columnar
+engine is also compared with the row engine (``columnar=False``) in
+interleaved A/B rounds: ``engine.N.columnar_over_rowwise`` is the
+row-engine time over the columnar time, with every round's ratio and
+the quartiles.
 
 The multi-core speedup assertion only runs where multi-core speedup is
 physically possible (``os.cpu_count() >= 4``); on smaller boxes the
@@ -23,7 +27,7 @@ import time
 import pytest
 
 from repro.core.chain import aggregate_chains
-from repro.obs.benchreport import host_metadata
+from repro.obs.benchreport import host_metadata, interleaved_rounds, round_ratios
 from repro.parallel import discover_shards, ingest_shards, split_zeek_log
 from repro.parallel.worker import _SSL_INTERN, _SSL_PROJECTION
 from repro.zeek.columnar import read_zeek_log_columnar
@@ -33,6 +37,8 @@ from repro.zeek.tap import join_logs
 
 ROUNDS = 3
 COLUMNAR_ROUNDS = 9  # the 500k rows/s floor gate needs low-noise timing
+AB_ROUNDS = 5
+AB_ROUND_SECONDS = 0.5
 SHARDS = 4
 BENCH_OUT = os.environ.get(
     "REPRO_BENCH_INGEST_OUT",
@@ -89,6 +95,20 @@ def ingest_bench(dataset, tmp_path_factory):
         jobs: _best(lambda jobs=jobs: run_engine(jobs))
         for jobs in (1, 2, SHARDS)}
 
+    def versus_rowwise(jobs):
+        """The columnar engine against the row engine at the same jobs."""
+        columnar, rowwise = interleaved_rounds(
+            lambda: ingest_shards(shards, jobs=jobs),
+            lambda: ingest_shards(shards, jobs=jobs, columnar=False),
+            rounds=AB_ROUNDS, min_seconds=AB_ROUND_SECONDS)
+        return {"rowwise_seconds": min(rowwise),
+                "columnar_over_rowwise": min(rowwise) / min(columnar),
+                "columnar_samples": columnar,
+                "rowwise_samples": rowwise,
+                **round_ratios(rowwise, columnar)}
+
+    rowwise_ab = {jobs: versus_rowwise(jobs) for jobs in (1, 2, SHARDS)}
+
     numbers = {
         "dataset": {"ssl_rows": rows,
                     "x509_rows": len(dataset.x509_records)},
@@ -98,6 +118,8 @@ def ingest_bench(dataset, tmp_path_factory):
             effective_jobs=engine_results[SHARDS].jobs),
         "shards": SHARDS,
         "rounds": ROUNDS,
+        "ab_rounds": AB_ROUNDS,
+        "ab_round_seconds": AB_ROUND_SECONDS,
         "serial_legacy": {"seconds": serial_seconds,
                           "rows_per_second": rows / serial_seconds},
         "engine": {
@@ -105,7 +127,8 @@ def ingest_bench(dataset, tmp_path_factory):
                         "rows_per_second": rows / seconds,
                         "speedup_vs_serial": serial_seconds / seconds,
                         "requested_jobs": engine_results[jobs].requested_jobs,
-                        "effective_jobs": engine_results[jobs].jobs}
+                        "effective_jobs": engine_results[jobs].jobs,
+                        **rowwise_ab[jobs]}
             for jobs, seconds in engine_seconds.items()},
         "read": {
             "compiled_seconds": read_compiled,
@@ -150,6 +173,15 @@ def test_columnar_read_floor(ingest_bench):
     # bench-report --check applies the same levels.
     assert ingest_bench["read"]["columnar_rows_per_second"] > 250_000
     assert ingest_bench["read"]["columnar_over_compiled"] > 2.0
+
+
+def test_columnar_engine_no_slower_than_rowwise(ingest_bench):
+    # Recorded at every jobs value; gated at jobs=1, where no process
+    # boundary hides the hand-off (bench-report applies the same floor).
+    for jobs in ("1", "2", str(SHARDS)):
+        engine = ingest_bench["engine"][jobs]
+        assert len(engine["round_ratios"]) == AB_ROUNDS
+    assert ingest_bench["engine"]["1"]["columnar_over_rowwise"] >= 1.0
 
 
 def test_engine_beats_legacy_serial_single_worker(ingest_bench):

@@ -4,7 +4,7 @@ The compiled parallel path returns a :class:`ShardAggregate` whose chain
 map pickles one ``ObservedChain`` object graph per distinct chain —
 reconstructed ``Certificate`` objects, ``DistinguishedName`` trees, sets
 and Counters — which the driver then unpickles only to merge.  This
-module replaces that hand-off with three pieces:
+module replaces that hand-off with four pieces:
 
 * :func:`fold_ssl_segment` — the aggregation loop rewritten over the
   columnar reader's parallel arrays: chain keys are resolved **once per
@@ -18,9 +18,16 @@ module replaces that hand-off with three pieces:
   shard's de-duplicated X509 rows: numeric columns as native arrays with
   None-bitmaps, strings as ids against one payload-global deduplicated
   string table.  Pickling the resulting ``bytes`` blob is a memcpy;
-* :func:`materialize_chains` — the driver-side rebuild of the legacy
-  ``chains`` dict from unpacked columns plus a certificate map, in the
-  exact order the worker discovered the chains.
+* :func:`merge_shard_columns` — the driver-side reduce: folds one
+  shard's unpacked usage columns straight into the merged
+  ``{key: ChainUsage}`` map with :meth:`ChainUsage.merge` semantics;
+* :func:`materialize_chains` — builds the ``ObservedChain`` objects from
+  chain keys, usages and a certificate map, once, after the last shard is
+  merged.
+
+A shard ships its X509 section only when it *owns* its x509 file (the
+lowest-index shard reading it); the other shards of that file send an
+empty section and the driver rebuilds each certificate table once.
 
 The layout is self-describing length-prefixed blobs, native byte order
 (worker and driver always share one machine).  Sets round-trip through
@@ -34,15 +41,16 @@ import struct
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain import ChainUsage, ObservedChain
 
 __all__ = ["ChainFold", "fold_ssl_segment", "ShardColumns",
            "pack_shard_payload", "unpack_shard_payload",
-           "materialize_chains", "X509_COLUMN_SPEC"]
+           "merge_shard_columns", "materialize_chains", "X509_COLUMN_SPEC"]
 
-_MAGIC = b"RPK1"
+_MAGIC = b"RPK2"
 
 #: The shipped X509 columns: name and codec kind, in record-field order.
 #: Kinds: ``f`` nullable float, ``i`` nullable int, ``s`` string id,
@@ -186,17 +194,22 @@ class _Writer:
         self.blob(flat.tobytes())
 
     def render(self) -> bytes:
+        """Magic, body, then the string table: its per-string character
+        lengths and one UTF-8 blob of all strings, decoded in one call."""
         body = b"".join(self._parts)
-        table = [struct.pack("<Q", len(self.strings))]
-        for value in self.strings:
-            raw = value.encode("utf-8")
-            table.append(struct.pack("<Q", len(raw)))
-            table.append(raw)
-        return b"".join([_MAGIC, struct.pack("<Q", len(body)), body, *table])
+        lengths = array("q", map(len, self.strings)).tobytes()
+        text = "".join(self.strings).encode("utf-8")
+        return b"".join([_MAGIC, struct.pack("<Q", len(body)), body,
+                         struct.pack("<QQ", len(self.strings), len(text)),
+                         lengths, text])
 
 
 class _Reader:
-    """Reads :class:`_Writer` output; string table parsed up front."""
+    """Reads :class:`_Writer` output; string table parsed up front.
+
+    ``strings`` ends with a ``None`` sentinel, so the writer's ``-1``
+    (``None``) id resolves by plain indexing.
+    """
 
     __slots__ = ("_view", "_pos", "strings")
 
@@ -208,16 +221,21 @@ class _Reader:
             self._view = memoryview(payload)
             self._pos = 12
             pos = 12 + body_len
-            (count,) = struct.unpack_from("<Q", payload, pos)
-            pos += 8
-            strings: List[str] = []
-            for _ in range(count):
-                (n,) = struct.unpack_from("<Q", payload, pos)
-                pos += 8
-                strings.append(bytes(self._view[pos:pos + n])
-                               .decode("utf-8"))
-                pos += n
-            self.strings = strings
+            count, size = struct.unpack_from("<QQ", payload, pos)
+            pos += 16
+            lengths = array("q")
+            lengths.frombytes(payload[pos:pos + 8 * count])
+            pos += 8 * count
+            raw = payload[pos:pos + size]
+            if len(raw) != size:
+                raise ValueError("corrupt shard payload: short string table")
+            text = raw.decode("utf-8")
+            ends = list(accumulate(lengths))
+            if ends and ends[-1] != len(text):
+                raise ValueError("corrupt shard payload: bad string table")
+            self.strings: List[Optional[str]] = [
+                text[start:end] for start, end in zip([0, *ends], ends)]
+            self.strings.append(None)
         except struct.error as error:  # truncated or mangled hand-off
             raise ValueError(
                 f"corrupt shard payload: {error}") from error
@@ -252,21 +270,18 @@ class _Reader:
         return [None if m else bool(v) for m, v in zip(mask, values)]
 
     def string_column(self) -> List[Optional[str]]:
-        strings = self.strings
-        return [None if i < 0 else strings[i] for i in self._ints()]
+        return list(map(self.strings.__getitem__, self._ints()))
 
     def string_seq_column(self) -> List[Optional[Tuple[Optional[str], ...]]]:
         lens = self._ints()
-        flat = self._ints()
-        strings = self.strings
+        values = self.string_column()
         out: List[Optional[Tuple[Optional[str], ...]]] = []
         pos = 0
         for n in lens:
             if n < 0:
                 out.append(None)
             else:
-                out.append(tuple(None if i < 0 else strings[i]
-                                 for i in flat[pos:pos + n]))
+                out.append(tuple(values[pos:pos + n]))
                 pos += n
         return out
 
@@ -283,15 +298,55 @@ _READ_KIND = {"f": _Reader.float_column, "i": _Reader.int_column,
 
 @dataclass(slots=True)
 class ShardColumns:
-    """One shard's unpacked hand-off: chain partials + X509 columns."""
+    """One shard's unpacked hand-off: raw usage columns + X509 columns.
+
+    The usage accumulators stay as parallel columns (one entry per
+    chain; ports as per-chain widths over flat key/count arrays) so the
+    driver can fold them straight into its merged map with
+    :func:`merge_shard_columns`; :attr:`usages` builds
+    :class:`ChainUsage` objects only when a caller asks for them.
+    """
 
     chain_keys: List[Tuple[Optional[str], ...]]
-    usages: List[ChainUsage]
+    connections: List[int]
+    established: List[int]
+    sni_present: List[int]
+    first_seen: List[Optional[float]]
+    last_seen: List[Optional[float]]
+    client_ips: List[Optional[Tuple[Optional[str], ...]]]
+    server_ips: List[Optional[Tuple[Optional[str], ...]]]
+    snis: List[Optional[Tuple[Optional[str], ...]]]
+    port_lens: List[int]
+    flat_ports: List[Optional[int]]
+    flat_counts: List[int]
     #: Distinct certificate fingerprints, first-seen row order.
     cert_fingerprints: List[Optional[str]]
     #: De-duplicated X509 rows (last row per fingerprint, first-seen
     #: fingerprint order) as name-keyed parallel columns.
     x509_columns: Dict[str, list]
+
+    def _usage(self, i: int, pos: int) -> ChainUsage:
+        """Chain ``i``'s accumulator; its ports start at ``pos``."""
+        ports: Counter = Counter()
+        for j in range(pos, pos + self.port_lens[i]):
+            ports[self.flat_ports[j]] = self.flat_counts[j]
+        return ChainUsage(
+            connections=self.connections[i],
+            established=self.established[i],
+            client_ips=set(self.client_ips[i] or ()), ports=ports,
+            sni_present=self.sni_present[i], snis=set(self.snis[i] or ()),
+            first_seen=self.first_seen[i], last_seen=self.last_seen[i],
+            server_ips=set(self.server_ips[i] or ()))
+
+    @property
+    def usages(self) -> List[ChainUsage]:
+        """The usage columns as :class:`ChainUsage` objects, key order."""
+        usages: List[ChainUsage] = []
+        pos = 0
+        for i, width in enumerate(self.port_lens):
+            usages.append(self._usage(i, pos))
+            pos += width
+        return usages
 
 
 def pack_shard_payload(*, chain_keys: Sequence[Tuple[Optional[str], ...]],
@@ -328,51 +383,80 @@ def unpack_shard_payload(payload: bytes) -> ShardColumns:
     reader = _Reader(payload)
     (n_chains,) = reader.counts()
     chain_keys = [key or () for key in reader.string_seq_column()]
-    connections = reader.counts()
-    established = reader.counts()
-    sni_present = reader.counts()
-    first_seen = reader.float_column()
-    last_seen = reader.float_column()
-    client_ips = reader.string_seq_column()
-    server_ips = reader.string_seq_column()
-    snis = reader.string_seq_column()
-    port_lens = reader.counts()
-    flat_ports = reader.int_column()
-    flat_counts = reader.counts()
-    usages: List[ChainUsage] = []
-    pos = 0
-    for i in range(n_chains):
-        ports: Counter = Counter()
-        for _ in range(port_lens[i]):
-            ports[flat_ports[pos]] = flat_counts[pos]
-            pos += 1
-        usages.append(ChainUsage(
-            connections=connections[i], established=established[i],
-            client_ips=set(client_ips[i] or ()), ports=ports,
-            sni_present=sni_present[i], snis=set(snis[i] or ()),
-            first_seen=first_seen[i], last_seen=last_seen[i],
-            server_ips=set(server_ips[i] or ())))
-    cert_fingerprints = reader.string_column()
+    columns = ShardColumns(
+        chain_keys=chain_keys, connections=reader.counts(),
+        established=reader.counts(), sni_present=reader.counts(),
+        first_seen=reader.float_column(), last_seen=reader.float_column(),
+        client_ips=reader.string_seq_column(),
+        server_ips=reader.string_seq_column(),
+        snis=reader.string_seq_column(), port_lens=reader.counts(),
+        flat_ports=reader.int_column(), flat_counts=reader.counts(),
+        cert_fingerprints=reader.string_column(), x509_columns={})
     (n_x509,) = reader.counts()
-    x509_columns = {name: _READ_KIND[kind](reader)
-                    for name, kind in X509_COLUMN_SPEC}
-    for column in x509_columns.values():
+    columns.x509_columns = {name: _READ_KIND[kind](reader)
+                            for name, kind in X509_COLUMN_SPEC}
+    if (len(chain_keys) != n_chains
+            or len(columns.port_lens) != n_chains
+            or sum(columns.port_lens) != len(columns.flat_ports)):
+        raise ValueError("corrupt shard payload: ragged usage columns")
+    for column in columns.x509_columns.values():
         if len(column) != n_x509:
             raise ValueError("corrupt shard payload: ragged X509 columns")
-    return ShardColumns(chain_keys=chain_keys, usages=usages,
-                        cert_fingerprints=cert_fingerprints,
-                        x509_columns=x509_columns)
+    return columns
+
+
+def merge_shard_columns(merged: Dict[tuple, ChainUsage],
+                        columns: ShardColumns) -> List[tuple]:
+    """Fold one shard's usage columns into the driver's ``merged`` map.
+
+    Exactly what materialising the shard's usages and calling
+    :meth:`ChainUsage.merge` per chain would do, without building a
+    throwaway accumulator for keys ``merged`` already holds: counts
+    add, sets union, ports add in the shard's ``Counter`` key order
+    (an existing port keeps its place, a new one goes last — every
+    packed count is positive, so ``Counter.__iadd__`` drops nothing),
+    and both window endpoints fold through
+    :meth:`ChainUsage.observe_timestamp`.  Keys new to ``merged`` take
+    a fresh accumulator and are appended in shard discovery order.
+    Returns those new keys, in order.
+    """
+    added: List[tuple] = []
+    merged_get = merged.get
+    flat_ports = columns.flat_ports
+    flat_counts = columns.flat_counts
+    pos = 0
+    for i, (key, width) in enumerate(zip(columns.chain_keys,
+                                         columns.port_lens)):
+        usage = merged_get(key)
+        if usage is None:
+            merged[key] = columns._usage(i, pos)
+            added.append(key)
+        else:
+            usage.connections += columns.connections[i]
+            usage.established += columns.established[i]
+            usage.client_ips.update(columns.client_ips[i] or ())
+            usage.server_ips.update(columns.server_ips[i] or ())
+            ports = usage.ports
+            for j in range(pos, pos + width):
+                ports[flat_ports[j]] += flat_counts[j]
+            usage.sni_present += columns.sni_present[i]
+            usage.snis.update(columns.snis[i] or ())
+            for ts in (columns.first_seen[i], columns.last_seen[i]):
+                if ts is not None:
+                    usage.observe_timestamp(ts)
+        pos += width
+    return added
 
 
 def materialize_chains(chain_keys: Sequence[Tuple[Optional[str], ...]],
                        usages: Sequence[ChainUsage],
                        certificates: Dict[Optional[str], object]
                        ) -> Dict[tuple, ObservedChain]:
-    """Rebuild the legacy ``chains`` dict from unpacked columns.
+    """Build the ``chains`` dict from keys, usages and certificates.
 
-    ``chain_keys`` arrive in worker discovery order, so the dict's
-    insertion order — which drives every Counter/set merge order in the
-    reduce — matches what ``aggregate_chains`` would have produced.
+    The dict keeps ``chain_keys`` order — shard discovery order, or the
+    merged map's order after :func:`merge_shard_columns` — which is what
+    ``aggregate_chains`` over the concatenated shards would produce.
     Every key fingerprint is present in ``certificates`` by
     construction (the fold only keeps known fingerprints).
     """

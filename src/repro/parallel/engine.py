@@ -3,8 +3,12 @@
 :func:`ingest_shards` is the engine's entry point.  It dispatches one
 :func:`~repro.parallel.worker.process_shard` call per shard across a
 ``ProcessPoolExecutor`` (``jobs=1`` runs inline — no pool, no pickling)
-and folds the returned :class:`ShardAggregate` partials into a single
-chain map with :meth:`ChainUsage.merge`.
+and folds the returned partials into a single chain map with
+:meth:`ChainUsage.merge` semantics.  On the columnar path the packed
+partials fold straight into one ``{key: ChainUsage}`` map
+(:func:`~repro.core.packed.merge_shard_columns`), each x509 file's
+certificate table is rebuilt once — from the payload of the shard that
+owns the file — and ``ObservedChain`` objects are built once at the end.
 
 **Determinism.**  The merged output is byte-identical to a serial pass
 over the same shards regardless of worker count or completion order:
@@ -26,11 +30,13 @@ over the same shards regardless of worker count or completion order:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
-from ..core.chain import ObservedChain
-from ..core.packed import materialize_chains, unpack_shard_payload
+from ..core.chain import ChainUsage, ObservedChain
+from ..core.packed import (ShardColumns, materialize_chains,
+                           merge_shard_columns, unpack_shard_payload)
 from ..faults.plan import FaultPlan
 from ..obs import instruments
 from ..obs.logging import get_logger, kv
@@ -45,7 +51,7 @@ from .shards import ShardSpec
 from .supervisor import (SupervisedRun, SupervisorConfig, resolve_config,
                          run_supervised)
 from .worker import (ColumnarShardAggregate, ShardAggregate, ShardTask,
-                     process_shard)
+                     process_shard, process_shard_columnar)
 
 __all__ = ["IngestResult", "ingest_shards", "ingest_logs"]
 
@@ -86,7 +92,7 @@ def _shard_fingerprint(task: ShardTask) -> str:
     return input_fingerprint([
         "ingest-shard", task.index, task.ssl_path, size(task.ssl_path),
         task.x509_path, size(task.x509_path), task.plan, task.tolerant,
-        task.compiled, task.columnar,
+        task.compiled, task.columnar, task.ships_certificates,
     ])
 
 
@@ -122,18 +128,26 @@ def ingest_shards(shards: Iterable[ShardSpec], *,
     ``columnar=True`` (the default) routes workers through the
     struct-of-arrays hot path: logs decode into typed columns, chain
     aggregation folds over arrays, and partials come home as packed
-    column buffers that the driver materialises back into the legacy
-    chain map before the same reduce (see :mod:`repro.core.packed`).
-    ``columnar=False`` is the escape hatch back to the row-object
-    workers (where ``compiled`` selects the row codec); outputs are
-    byte-identical either way.
+    column buffers that the driver folds directly into one chain map
+    (see :mod:`repro.core.packed`).  ``columnar=False`` is the escape
+    hatch back to the row-object workers (where ``compiled`` selects
+    the row codec); outputs are byte-identical either way.
+
+    Each distinct ``x509_path`` has one *owner*, its lowest-index
+    shard: only the owner ships the certificate table and counts the
+    file's rows, quarantine records and injected faults.
     """
     shard_list = sorted(shards, key=lambda spec: spec.index)
     requested, jobs = clamp_jobs(jobs, len(shard_list))
+    owners: Dict[str, int] = {}
+    for spec in shard_list:
+        owners.setdefault(spec.x509_path, spec.index)
     tasks = [ShardTask(index=spec.index, ssl_path=spec.ssl_path,
                        x509_path=spec.x509_path, plan=plan,
                        tolerant=quarantine is not None, compiled=compiled,
-                       columnar=columnar)
+                       columnar=columnar,
+                       ships_certificates=owners[spec.x509_path]
+                       == spec.index)
              for spec in shard_list]
     config = resolve_config(supervise, plan=plan, quarantine=quarantine)
     with trace_span("parallel_ingest", shards=len(tasks), jobs=jobs):
@@ -141,11 +155,16 @@ def ingest_shards(shards: Iterable[ShardSpec], *,
             "ingest", tasks, process_shard, jobs=jobs, config=config,
             task_ids=lambda task, i: f"ingest:{task.index:04d}",
             fingerprint_fn=_shard_fingerprint)
-    aggregates = [a for a in outcome.results if a is not None]
+    done = [(task, aggregate)
+            for task, aggregate in zip(tasks, outcome.results)
+            if aggregate is not None]
+    aggregates = [aggregate for _, aggregate in done]
     if columnar:
-        aggregates = [_materialize_aggregate(a)
-                      for a in sorted(aggregates, key=lambda a: a.index)]
-    result = _reduce(aggregates, jobs=jobs, quarantine=quarantine)
+        chains, cert_fingerprints = _merge_packed(done)
+    else:
+        chains, cert_fingerprints = _merge_rows(aggregates)
+    result = _reduce(aggregates, chains, cert_fingerprints, jobs=jobs,
+                     quarantine=quarantine)
     result.supervisor = outcome
     result.requested_jobs = requested
     log.debug("parallel ingest complete", extra=kv(
@@ -167,23 +186,63 @@ def ingest_logs(ssl_path: str, x509_path: str, *,
                          columnar=columnar)
 
 
-def _materialize_aggregate(aggregate: ColumnarShardAggregate
-                           ) -> ShardAggregate:
-    """Unpack one columnar partial into the legacy aggregate shape.
+def _merge_packed(done: List[Tuple[ShardTask, ColumnarShardAggregate]]
+                  ) -> Tuple[Dict[tuple, ObservedChain], List[str]]:
+    """Fold packed partials into one chain map, in shard order.
+
+    Usage columns merge straight into one ``{key: ChainUsage}`` map.
+    Each x509 file's certificate table is rebuilt once, from its
+    owner's payload; every key takes its certificates from the table of
+    the first shard that contained it, and ``ObservedChain`` objects are
+    built once, after the last shard.  The canonical
+    ``repro_columnar_*`` metrics come from the worker-reported stats.
+    """
+    usages: Dict[tuple, ChainUsage] = {}
+    #: x509 path -> certificates by fingerprint
+    tables: Dict[str, dict] = {}
+    #: x509 path -> the keys that take their certificates from it
+    origins: Dict[str, List[tuple]] = {}
+    cert_fingerprints: List[str] = []
+    seen_fps = set()
+    for task, aggregate in done:
+        columns = unpack_shard_payload(aggregate.payload)
+        path = task.x509_path
+        if path not in tables:
+            owner = (columns if task.ships_certificates
+                     else _dropped_owner(task))
+            tables[path] = _rebuild_certificates(owner.x509_columns)
+            # Later shards of this file would add no new fingerprint.
+            for fingerprint in owner.cert_fingerprints:
+                if fingerprint not in seen_fps:
+                    seen_fps.add(fingerprint)
+                    cert_fingerprints.append(fingerprint)
+        origins.setdefault(path, []).extend(
+            merge_shard_columns(usages, columns))
+        instruments.COLUMNAR_PAYLOAD_BYTES.inc(len(aggregate.payload))
+        for stats in (aggregate.x509_stats, aggregate.ssl_stats):
+            if stats is not None:
+                stats.emit()
+    built: Dict[tuple, ObservedChain] = {}
+    for path, keys in origins.items():
+        built.update(materialize_chains(
+            keys, [usages[key] for key in keys], tables[path]))
+    if len(origins) > 1:  # back into merged (first-seen) key order
+        built = {key: built[key] for key in usages}
+    return built, cert_fingerprints
+
+
+def _rebuild_certificates(spec: Dict[str, list]) -> dict:
+    """One x509 file's certificate table from its owner's X509 section.
 
     The rebuild (certificate reconstruction, DN parsing) churns the same
     memo caches a worker would have touched, so it runs under a
-    *discarded* telemetry capture: the compiled path's workers capture
-    that churn away and never replay it, and metric exports must not
-    depend on which path — or which ``--jobs`` — produced the result.
-    The canonical ``repro_columnar_*`` metrics are then emitted from the
-    worker-reported stats, outside the shield.
+    *discarded* telemetry capture: the row path's workers capture that
+    churn away and never replay it, and metric exports must not depend
+    on which path — or which ``--jobs`` — produced the result.
     """
-    with capture_telemetry("materialize", aggregate.index):
-        columns = unpack_shard_payload(aggregate.payload)
-        spec = columns.x509_columns
-        records = [
-            X509Record(
+    with capture_telemetry("materialize", 0):
+        return {
+            fingerprint: reconstruct_certificate(X509Record(
                 ts=ts, fingerprint=fingerprint, certificate_version=version,
                 certificate_serial=serial, certificate_subject=subject,
                 certificate_issuer=issuer,
@@ -192,7 +251,7 @@ def _materialize_aggregate(aggregate: ColumnarShardAggregate
                 certificate_key_alg=key_alg, certificate_sig_alg=sig_alg,
                 certificate_key_length=key_length,
                 san_dns=tuple(san or ()), basic_constraints_ca=bc_ca,
-                basic_constraints_path_len=bc_path_len)
+                basic_constraints_path_len=bc_path_len))
             for ts, fingerprint, version, serial, subject, issuer,
             not_before, not_after, key_alg, sig_alg, key_length, san,
             bc_ca, bc_path_len in zip(
@@ -204,41 +263,30 @@ def _materialize_aggregate(aggregate: ColumnarShardAggregate
                 spec["certificate.key_alg"], spec["certificate.sig_alg"],
                 spec["certificate.key_length"], spec["san.dns"],
                 spec["basic_constraints.ca"],
-                spec["basic_constraints.path_len"])]
-        certificates = {record.fingerprint: reconstruct_certificate(record)
-                        for record in records}
-        chains = materialize_chains(columns.chain_keys, columns.usages,
-                                    certificates)
-    instruments.COLUMNAR_PAYLOAD_BYTES.inc(len(aggregate.payload))
-    for stats in (aggregate.x509_stats, aggregate.ssl_stats):
-        if stats is not None:
-            stats.emit()
-    return ShardAggregate(
-        index=aggregate.index, chains=chains,
-        quarantined=aggregate.quarantined,
-        cert_fingerprints=columns.cert_fingerprints,
-        ssl_rows=aggregate.ssl_rows, x509_rows=aggregate.x509_rows,
-        ssl_log_label=aggregate.ssl_log_label,
-        x509_log_label=aggregate.x509_log_label,
-        joined=aggregate.joined, missing_certs=aggregate.missing_certs,
-        aggregated=aggregate.aggregated,
-        skipped_empty=aggregate.skipped_empty,
-        seconds=aggregate.seconds, telemetry=aggregate.telemetry)
+                spec["basic_constraints.path_len"])}
 
 
-def _reduce(aggregates: List[ShardAggregate], *, jobs: int,
-            quarantine: Optional[Quarantine]) -> IngestResult:
-    """Merge partials in shard-index order; emit the canonical metrics."""
-    result = IngestResult(jobs=jobs, shard_count=len(aggregates),
-                          quarantine=quarantine)
-    sink = get_sink()
-    merged = result.chains
+def _dropped_owner(task: ShardTask) -> ShardColumns:
+    """An owner's payload for ``task``'s x509 file, recomputed in-driver.
+
+    Needed only when the supervisor dropped the owner's result
+    (``serial_fallback=False``).  Its tallies stay dropped: the rerun's
+    telemetry is captured and discarded, and only its X509 section and
+    fingerprint order are used.
+    """
+    with capture_telemetry("ingest", task.index):
+        aggregate = process_shard_columnar(
+            replace(task, ships_certificates=True))
+    return unpack_shard_payload(aggregate.payload)
+
+
+def _merge_rows(aggregates: List[ShardAggregate]
+                ) -> Tuple[Dict[tuple, ObservedChain], List[str]]:
+    """The row path's merge: partial chain maps, in shard order."""
+    merged: Dict[tuple, ObservedChain] = {}
+    cert_fingerprints: List[str] = []
     seen_fps = set()
-    for aggregate in sorted(aggregates, key=lambda a: a.index):
-        # The fault-kind split is the one canonical value only the
-        # worker saw; everything else captured rides along create-only.
-        sink.attach(aggregate.telemetry,
-                    replay=("repro_faults_injected_total",))
+    for aggregate in aggregates:
         for key, chain in aggregate.chains.items():
             existing = merged.get(key)
             if existing is None:
@@ -248,7 +296,25 @@ def _reduce(aggregates: List[ShardAggregate], *, jobs: int,
         for fingerprint in aggregate.cert_fingerprints:
             if fingerprint not in seen_fps:
                 seen_fps.add(fingerprint)
-                result.cert_fingerprints.append(fingerprint)
+                cert_fingerprints.append(fingerprint)
+    return merged, cert_fingerprints
+
+
+def _reduce(aggregates: Sequence[Union[ShardAggregate,
+                                       ColumnarShardAggregate]],
+            chains: Dict[tuple, ObservedChain],
+            cert_fingerprints: List[str], *, jobs: int,
+            quarantine: Optional[Quarantine]) -> IngestResult:
+    """Tally partials in shard-index order; emit the canonical metrics."""
+    result = IngestResult(chains=chains, cert_fingerprints=cert_fingerprints,
+                          jobs=jobs, shard_count=len(aggregates),
+                          quarantine=quarantine)
+    sink = get_sink()
+    for aggregate in aggregates:
+        # The fault-kind split is the one canonical value only the
+        # worker saw; everything else captured rides along create-only.
+        sink.attach(aggregate.telemetry,
+                    replay=("repro_faults_injected_total",))
         if quarantine is not None:
             for record in aggregate.quarantined:
                 quarantine.add(source=record.source, line=record.line,
@@ -279,7 +345,7 @@ def _reduce(aggregates: List[ShardAggregate], *, jobs: int,
     instruments.ZEEK_JOIN_MISSING_CERTS.inc(result.missing_certs)
     instruments.CHAIN_CONN_AGGREGATED.inc(result.aggregated)
     instruments.CHAIN_CONN_SKIPPED.inc(result.skipped_empty)
-    instruments.CHAIN_DISTINCT.inc(len(merged))
+    instruments.CHAIN_DISTINCT.inc(len(chains))
     if result.missing_certs:
         log.warning("join dropped unknown certificate references",
                     extra=kv(missing=result.missing_certs,

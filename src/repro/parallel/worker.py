@@ -18,11 +18,21 @@ several shards.  The driver derives every canonical metric from the
 merged result instead — which also makes metric values independent of
 ``--jobs`` — and replays only the fault-kind split (the one value that
 genuinely lives worker-side) from the captured telemetry.
+
+**One owner per x509 file.**  Several shards usually read the same
+broadcast ``x509.log``.  Only the file's *owner* — the task with
+``ships_certificates`` set, the lowest-index shard reading it — ships
+the certificate table home and counts the file (rows, quarantine
+records, injected faults).  The other shards still read it, with the
+same fault plan, for the fingerprint set the join needs, but under a
+nested, discarded telemetry capture and into a throwaway quarantine, so
+each x509 file is counted exactly once however many shards share it.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -50,6 +60,8 @@ _SSL_PROJECTION = frozenset({"ts", "id.orig_h", "id.resp_h", "id.resp_p",
                              "established", "server_name", "cert_chain_fps"})
 _SSL_INTERN = ("cert_chain_fps", "server_name")
 _X509_PROJECTION = frozenset(name for name, _ in X509_COLUMN_SPEC)
+#: A non-owner only needs the join's fingerprint set.
+_FINGERPRINT_PROJECTION = frozenset({"fingerprint"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +75,11 @@ class ShardTask:
     tolerant: bool = False
     compiled: bool = True
     columnar: bool = False
+    #: Whether this shard owns its x509 file: ships its certificate
+    #: table and counts its rows.  The default keeps a lone task
+    #: self-contained; :func:`~repro.parallel.engine.ingest_shards`
+    #: clears it on every shard but the lowest-index one per file.
+    ships_certificates: bool = True
 
 
 @dataclass(slots=True)
@@ -95,8 +112,8 @@ class ColumnarShardAggregate:
     The row data crosses the process boundary as one opaque ``bytes``
     payload (see :mod:`repro.core.packed`); pickling it is a memcpy, so
     the hand-off cost no longer scales with object-graph complexity.
-    The driver unpacks, rebuilds certificates, and reduces through the
-    same merge as the compiled path.
+    The driver unpacks it and folds its usage columns straight into the
+    merged chain map; only an owner's payload carries certificates.
     """
 
     index: int
@@ -117,6 +134,22 @@ class ColumnarShardAggregate:
     #: stay independent of ``--jobs``.
     ssl_stats: Optional[ColumnarStats] = None
     x509_stats: Optional[ColumnarStats] = None
+
+
+@contextmanager
+def _x509_quarantine(task: ShardTask, quarantine: Optional[Quarantine]
+                     ) -> Iterator[Optional[Quarantine]]:
+    """Where a shard's x509 read lands; yields the quarantine to read into.
+
+    The owner reads into the shard's own quarantine and telemetry.  A
+    non-owner reads under a nested capture whose telemetry is dropped,
+    into a throwaway quarantine: the owner already counts the file.
+    """
+    if task.ships_certificates:
+        yield quarantine
+        return
+    with capture_telemetry("ingest", task.index):
+        yield Quarantine() if quarantine is not None else None
 
 
 def process_shard(task: ShardTask) -> ShardAggregate:
@@ -144,16 +177,19 @@ def process_shard(task: ShardTask) -> ShardAggregate:
         x509_refs: List[ZeekLogReader] = []
         x509_records: List[X509Record] = []
         seen_fps = set()
-        for row in iter_zeek_log(task.x509_path, quarantine=quarantine,
-                                 faults=injector, compiled=task.compiled,
-                                 reader_ref=x509_refs):
-            record = X509Record.from_row(row)
-            x509_records.append(record)
-            aggregate.x509_rows += 1
-            fingerprint = record.fingerprint
-            if fingerprint not in seen_fps:
-                seen_fps.add(fingerprint)
-                aggregate.cert_fingerprints.append(fingerprint)
+        with _x509_quarantine(task, quarantine) as x509_quarantine:
+            for row in iter_zeek_log(task.x509_path,
+                                     quarantine=x509_quarantine,
+                                     faults=injector, compiled=task.compiled,
+                                     reader_ref=x509_refs):
+                record = X509Record.from_row(row)
+                x509_records.append(record)
+                fingerprint = record.fingerprint
+                if fingerprint not in seen_fps:
+                    seen_fps.add(fingerprint)
+                    aggregate.cert_fingerprints.append(fingerprint)
+        if task.ships_certificates:
+            aggregate.x509_rows = len(x509_records)
         certificates = certificate_map(x509_records)
         del x509_records
 
@@ -196,7 +232,9 @@ def process_shard_columnar(task: ShardTask) -> ColumnarShardAggregate:
     Strict/tolerant and fault-injection semantics are identical to
     :func:`process_shard` — fault plans force the reader onto the
     per-line parity path, so quarantine ``file:line`` records match the
-    row readers byte for byte.
+    row readers byte for byte.  A non-owner reads only the fingerprint
+    column (every failable cell is still type-checked, so the same rows
+    survive) and ships an empty X509 section.
     """
     start = time.perf_counter()
     quarantine = Quarantine() if task.tolerant else None
@@ -205,9 +243,12 @@ def process_shard_columnar(task: ShardTask) -> ColumnarShardAggregate:
     aggregate = ColumnarShardAggregate(index=task.index)
     with capture_telemetry("ingest", task.index) as telemetry, \
             trace_span("ingest_shard", shard=task.index):
-        x509 = read_zeek_log_columnar(task.x509_path, quarantine=quarantine,
-                                      faults=injector,
-                                      project=_X509_PROJECTION)
+        owner = task.ships_certificates
+        with _x509_quarantine(task, quarantine) as x509_quarantine:
+            x509 = read_zeek_log_columnar(
+                task.x509_path, quarantine=x509_quarantine, faults=injector,
+                project=_X509_PROJECTION if owner
+                else _FINGERPRINT_PROJECTION)
         # De-duplicate by fingerprint: keep the *last* row per
         # fingerprint in *first-seen* fingerprint order (the legacy
         # worker builds certificate_map over all records — last row
@@ -227,8 +268,10 @@ def process_shard_columnar(task: ShardTask) -> ColumnarShardAggregate:
                     picks.append((segment, i))
                 else:
                     picks[position] = (segment, i)
+        # A non-owner ships an empty X509 section.
         x509_columns = {
-            name: [segment.columns[name][i] for segment, i in picks]
+            name: [segment.columns[name][i] for segment, i in picks
+                   if owner]
             for name, _ in X509_COLUMN_SPEC}
         known_fps = frozenset(seen)
 
@@ -249,14 +292,15 @@ def process_shard_columnar(task: ShardTask) -> ColumnarShardAggregate:
                 chain_values=chain_fps.table.values)
         aggregate.payload = pack_shard_payload(
             chain_keys=list(fold.chains), usages=list(fold.chains.values()),
-            cert_fingerprints=list(seen), x509_columns=x509_columns)
+            cert_fingerprints=list(seen) if owner else [],
+            x509_columns=x509_columns)
         with trace_span("shard_payload", shard=task.index,
                         payload_bytes=len(aggregate.payload)):
             pass  # zero-duration marker: payload size in the trace
     aggregate.telemetry = telemetry
 
     aggregate.ssl_rows = ssl.rows
-    aggregate.x509_rows = x509.rows
+    aggregate.x509_rows = x509.rows if owner else 0
     aggregate.ssl_log_label = ssl.path or "unknown"
     aggregate.x509_log_label = x509.path or "unknown"
     aggregate.joined = fold.joined
@@ -264,7 +308,7 @@ def process_shard_columnar(task: ShardTask) -> ColumnarShardAggregate:
     aggregate.aggregated = fold.aggregated
     aggregate.skipped_empty = fold.joined - fold.aggregated
     aggregate.ssl_stats = ssl.stats
-    aggregate.x509_stats = x509.stats
+    aggregate.x509_stats = x509.stats if owner else None
     if quarantine is not None:
         aggregate.quarantined = quarantine.records
     aggregate.seconds = time.perf_counter() - start

@@ -1,7 +1,9 @@
-"""Packed shard payloads: codec roundtrip and fold-vs-legacy equivalence."""
+"""Packed shard payloads: codec roundtrip, fold-vs-legacy equivalence,
+and the driver-side direct merge."""
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -12,6 +14,7 @@ from repro.core.packed import (
     ChainFold,
     fold_ssl_segment,
     materialize_chains,
+    merge_shard_columns,
     pack_shard_payload,
     unpack_shard_payload,
 )
@@ -68,7 +71,7 @@ class TestPayloadCodec:
             chain_keys=keys, usages=usages,
             cert_fingerprints=["fp00", "fp01", "fp02"],
             x509_columns=_x509_columns(3))
-        assert isinstance(payload, bytes) and payload.startswith(b"RPK1")
+        assert isinstance(payload, bytes) and payload.startswith(b"RPK2")
         columns = unpack_shard_payload(payload)
         assert columns.chain_keys == keys
         assert columns.usages == usages
@@ -178,3 +181,107 @@ class TestFoldEquivalence:
         assert usage.ports == Counter({443: 1, 8443: 1})
         # record() keeps None clients — exact legacy set semantics.
         assert usage.client_ips == {"10.0.0.1", None}
+
+
+def _payload(keys, usages) -> bytes:
+    return pack_shard_payload(chain_keys=keys, usages=usages,
+                              cert_fingerprints=[],
+                              x509_columns=_x509_columns(0))
+
+
+def _usage_state(usage: ChainUsage) -> tuple:
+    """Every observable field, Counter key order included."""
+    return (usage.connections, usage.established, sorted(usage.client_ips),
+            list(usage.ports.items()), usage.sni_present,
+            sorted(usage.snis), usage.first_seen, usage.last_seen,
+            sorted(usage.server_ips))
+
+
+def _merge_both_ways(payloads):
+    """(direct merge, materialize + ChainUsage.merge) over ``payloads``."""
+    direct: dict = {}
+    added = []
+    for payload in payloads:
+        added.extend(merge_shard_columns(direct,
+                                         unpack_shard_payload(payload)))
+    reference: dict = {}
+    for payload in payloads:
+        columns = unpack_shard_payload(payload)
+        certificates = {fp: object() for key in columns.chain_keys
+                        for fp in key}
+        for key, chain in materialize_chains(
+                columns.chain_keys, columns.usages, certificates).items():
+            existing = reference.get(key)
+            if existing is None:
+                reference[key] = chain
+            else:
+                existing.usage.merge(chain.usage)
+    return direct, added, reference
+
+
+class TestDirectMerge:
+    def test_matches_materialize_then_merge(self):
+        first = _payload(
+            [("fp-a",), ("fp-b", "fp-c")],
+            [_usage(ports=Counter({443: 2, 8443: 1})),
+             _usage(first_seen=None, last_seen=None)])
+        # The later shard puts new ports *ahead of* existing ones: the
+        # merged Counter must append them, as Counter.__iadd__ does.
+        second = _payload(
+            [("fp-d",), ("fp-a",), ("fp-b", "fp-c")],
+            [_usage(),
+             _usage(ports=Counter({993: 1, 25: 4, 443: 3}),
+                    client_ips={"10.9.9.9"}, snis={"new.example"},
+                    first_seen=1453939100.0, last_seen=1453939250.0),
+             _usage(first_seen=1453939999.0, last_seen=None)])
+        empty = _payload([], [])
+        direct, added, reference = _merge_both_ways([first, empty, second])
+        assert list(direct) == list(reference)
+        assert added == list(reference)
+        for key, chain in reference.items():
+            assert _usage_state(direct[key]) == _usage_state(chain.usage)
+        assert list(direct[("fp-a",)].ports) == [443, 8443, 993, 25]
+        # None endpoints are skipped; present ones widen the window.
+        assert direct[("fp-b", "fp-c")].first_seen == 1453939999.0
+        assert direct[("fp-b", "fp-c")].last_seen == 1453939999.0
+        assert direct[("fp-a",)].first_seen == 1453939100.0
+
+    def test_randomized_shards_match_materialize_then_merge(self):
+        rng = random.Random(14)
+        keys = [tuple(f"fp{rng.randrange(12):02d}"
+                      for _ in range(rng.randint(1, 3)))
+                for _ in range(25)]
+        payloads = []
+        for _ in range(6):
+            chosen = list(dict.fromkeys(rng.sample(keys, rng.randint(0, 10))))
+            usages = []
+            for _ in chosen:
+                ports = Counter()
+                for _ in range(rng.randint(1, 4)):
+                    ports[rng.choice([None, 25, 443, 993, 8443])] += \
+                        rng.randint(1, 3)
+                times = [rng.choice([None, rng.uniform(0, 1e9)])
+                         for _ in range(2)]
+                usages.append(ChainUsage(
+                    connections=rng.randint(1, 9),
+                    established=rng.randint(0, 9),
+                    client_ips={f"10.0.0.{rng.randrange(6)}"
+                                for _ in range(rng.randint(0, 3))},
+                    ports=ports, sni_present=rng.randint(0, 5),
+                    snis={rng.choice(["a.example", "b.example"])
+                          for _ in range(rng.randint(0, 2))},
+                    first_seen=times[0], last_seen=times[1],
+                    server_ips={f"192.0.2.{rng.randrange(4)}"}))
+            payloads.append(_payload(chosen, usages))
+        direct, added, reference = _merge_both_ways(payloads)
+        assert added == list(reference) == list(direct)
+        assert [_usage_state(u) for u in direct.values()] == \
+            [_usage_state(c.usage) for c in reference.values()]
+
+    def test_usages_are_built_lazily_and_equal_the_packed_ones(self):
+        usages = [_usage(), _usage(ports=Counter({25: 1}), first_seen=None)]
+        columns = unpack_shard_payload(_payload([("a",), ("b",)], usages))
+        assert columns.usages == usages
+        # Each access builds fresh accumulators: mutating one is local.
+        columns.usages[0].connections += 1
+        assert columns.usages == usages

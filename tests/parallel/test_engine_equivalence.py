@@ -11,6 +11,7 @@ and checkpoint fingerprints.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 
@@ -21,13 +22,15 @@ from repro.core.categorization import ChainCategory
 from repro.core.chain import aggregate_chains
 from repro.core.pipeline import ChainStructureAnalyzer
 from repro.faults import FaultPlan
+from repro.faults.injector import FaultInjector
 from repro.obs.metrics import get_registry
-from repro.parallel import discover_shards, ingest_logs, ingest_shards, \
-    split_zeek_log
+from repro.parallel import discover_shards, engine, ingest_logs, \
+    ingest_shards, split_zeek_log
 from repro.parallel.supervisor import SupervisorConfig
 from repro.resilience import Quarantine
 from repro.resilience.journal import RunJournal
-from repro.zeek.format import read_zeek_log
+from repro.zeek.columnar import read_zeek_log_columnar
+from repro.zeek.format import read_zeek_log, write_zeek_log
 from repro.zeek.records import SSLRecord, X509Record
 from repro.zeek.tap import join_logs
 
@@ -242,3 +245,218 @@ class TestIngestJobsClamp:
         # One shard and a finite CPU count both cap the effective value.
         assert ingest.jobs == 1
         assert ingest.jobs <= (os.cpu_count() or 1)
+
+
+def data_rows(path: str) -> int:
+    with open(path, encoding="utf-8") as handle:
+        return sum(1 for line in handle if not line.startswith("#"))
+
+
+class TestX509CountedOncePerFile:
+    """A broadcast x509.log is read by every shard but counted once: its
+    quarantine records, ``x509_rows`` and row metrics come from the
+    owner shard alone."""
+
+    PLAN = FaultPlan(seed="col-chaos", zeek_corrupt_rate=0.05)
+
+    def test_clean_x509_rows_equal_the_file(self, corpus):
+        x509_path = corpus["shards"][0].x509_path
+        for jobs in (1, 2):
+            for columnar in (True, False):
+                ingest = ingest_shards(corpus["shards"], jobs=jobs,
+                                       columnar=columnar)
+                assert ingest.x509_rows == data_rows(x509_path)
+
+    def test_quarantine_equals_one_tolerant_read(self, corpus):
+        x509_path = corpus["shards"][0].x509_path
+        expected = Quarantine()
+        table = read_zeek_log_columnar(x509_path, quarantine=expected,
+                                       faults=FaultInjector(self.PLAN))
+        assert expected.records  # the plan corrupted x509 rows
+        sources = {record.source for record in expected.records}
+        for jobs, columnar in ((1, True), (2, True), (2, False)):
+            quarantine = Quarantine()
+            ingest = ingest_shards(corpus["shards"], jobs=jobs,
+                                   plan=self.PLAN, quarantine=quarantine,
+                                   columnar=columnar)
+            assert [record for record in quarantine.records
+                    if record.source in sources] == expected.records
+            assert ingest.x509_rows == table.rows
+
+    def test_x509_row_metric_counts_the_file_once(self, corpus):
+        x509_path = corpus["shards"][0].x509_path
+        get_registry().reset()
+        ingest_shards(corpus["shards"], jobs=2)
+        samples = get_registry().snapshot()["repro_zeek_rows_total"]
+        x509 = [sample["value"] for sample in samples["samples"]
+                if sample["labels"] == {"direction": "read",
+                                        "path": "x509"}]
+        assert x509 == [data_rows(x509_path)]
+
+
+def counting_reconstruct(monkeypatch):
+    """Count ``reconstruct_certificate`` calls made by the engine."""
+    calls = []
+    original = engine.reconstruct_certificate
+
+    def counted(record):
+        calls.append(record.fingerprint)
+        return original(record)
+
+    monkeypatch.setattr(engine, "reconstruct_certificate", counted)
+    return calls
+
+
+class TestCertificateTableCrossesOnce:
+    def test_one_rebuild_per_distinct_certificate(self, corpus,
+                                                  monkeypatch):
+        _, rows = read_zeek_log(corpus["shards"][0].x509_path)
+        distinct = {row["fingerprint"] for row in rows}
+        calls = counting_reconstruct(monkeypatch)
+        for jobs in (1, 2):
+            calls.clear()
+            ingest = ingest_shards(corpus["shards"], jobs=jobs)
+            assert len(calls) == len(distinct)
+            assert set(calls) == distinct
+            assert canon(ingest.chains) == canon(
+                serial_chains(corpus["ssl"], corpus["x509"]))
+
+    def test_only_the_owner_ships_x509_rows(self, corpus, monkeypatch):
+        unpacked = []
+        original = engine.unpack_shard_payload
+
+        def recording(payload):
+            columns = original(payload)
+            unpacked.append((len(columns.x509_columns["fingerprint"]),
+                             len(columns.cert_fingerprints)))
+            return columns
+
+        monkeypatch.setattr(engine, "unpack_shard_payload", recording)
+        for jobs in (1, 2):
+            unpacked.clear()
+            ingest_shards(corpus["shards"], jobs=jobs)
+            assert len(unpacked) == len(corpus["shards"])
+            (owner_rows, owner_fps), *others = unpacked
+            assert owner_rows == owner_fps > 0
+            assert others == [(0, 0)] * (len(corpus["shards"]) - 1)
+
+
+def cert_view(chains):
+    """Every chain's certificates as (fingerprint, subject, issuer)."""
+    return [(key, tuple((cert.fingerprint, str(cert.subject),
+                         str(cert.issuer))
+                        for cert in chain.certificates))
+            for key, chain in chains.items()]
+
+
+@pytest.fixture(scope="module")
+def paired(tmp_path_factory):
+    """Three SSL shards, each with its own x509 file.
+
+    ``x509.log.001`` gives one certificate a different subject than the
+    other files do; ``x509.log.002`` lacks a certificate that its SSL
+    shard references.
+    """
+    dataset = cached_campus_dataset(seed="par-eq", scale="small")
+    base = tmp_path_factory.mktemp("paired")
+    ssl_path, _ = dataset.write_zeek_logs(str(base / "whole"))
+    shard_dir = base / "shards"
+    ssl_shards = split_zeek_log(ssl_path, str(shard_dir), 3)
+
+    def chains_in(path):
+        _, rows = read_zeek_log(path)
+        return [tuple(row["cert_chain_fps"] or ()) for row in rows]
+
+    first = set(chains_in(ssl_shards[0]))
+    in_first = {fp for key in first for fp in key}
+    # A certificate of a chain first seen in shard 1 that shard 0 also
+    # uses: chains first seen in shard 0 take file 0's subject for it,
+    # chains first seen in shard 1 take file 1's.
+    variant = next(fp for key in chains_in(ssl_shards[1])
+                   if key not in first for fp in key if fp in in_first)
+    absent = chains_in(ssl_shards[2])[0][0]
+    records = dataset.x509_records
+    tables = [
+        records,
+        [dataclasses.replace(record,
+                             certificate_subject="CN=paired variant,O=Test")
+         if record.fingerprint == variant else record
+         for record in records],
+        [record for record in records if record.fingerprint != absent]]
+    for index, table in enumerate(tables):
+        write_zeek_log(str(shard_dir / f"x509.log.{index:03d}"), "x509",
+                       X509Record.FIELDS, X509Record.TYPES,
+                       [record.to_row() for record in table])
+    shards = discover_shards(str(shard_dir))
+    assert [spec.x509_path for spec in shards] == [
+        str(shard_dir / f"x509.log.{index:03d}") for index in range(3)]
+    return {"shards": shards, "variant": variant}
+
+
+class TestPairedX509Files:
+    def test_columnar_matches_rowwise(self, paired):
+        shards = paired["shards"]
+        for jobs in (1, 2):
+            columnar = ingest_shards(shards, jobs=jobs)
+            rowwise = ingest_shards(shards, jobs=jobs, columnar=False)
+            assert canon(columnar.chains) == canon(rowwise.chains)
+            assert cert_view(columnar.chains) == cert_view(rowwise.chains)
+            assert columnar.missing_certs == rowwise.missing_certs > 0
+            assert columnar.cert_fingerprints == rowwise.cert_fingerprints
+            assert columnar.x509_rows == rowwise.x509_rows == sum(
+                data_rows(spec.x509_path) for spec in shards)
+
+    def test_each_chain_takes_its_first_shards_certificates(self, paired):
+        chains = ingest_shards(paired["shards"], jobs=2).chains
+        subjects = {subject for _, certs in cert_view(chains)
+                    for fingerprint, subject, _ in certs
+                    if fingerprint == paired["variant"]}
+        assert len(subjects) == 2
+        assert "CN=paired variant,O=Test" in subjects
+
+
+class TestJournalOwnerIdentity:
+    def test_new_owner_is_recomputed_not_replayed(self, corpus, tmp_path):
+        shards = corpus["shards"]
+        with RunJournal(str(tmp_path / "journal")) as journal:
+            ingest_shards(shards, jobs=2,
+                          supervise=SupervisorConfig(journal=journal))
+        # Without shard 0, shard 1 owns the broadcast x509.log; its
+        # journaled non-owner payload must not stand in for an owner's.
+        with RunJournal(str(tmp_path / "journal")) as journal:
+            resumed = ingest_shards(
+                shards[1:], jobs=2,
+                supervise=SupervisorConfig(journal=journal, resume=True))
+        assert resumed.supervisor.journal_replayed == len(shards) - 2
+        fresh = ingest_shards(shards[1:], jobs=2)
+        assert canon(resumed.chains) == canon(fresh.chains)
+        assert cert_view(resumed.chains) == cert_view(fresh.chains)
+        assert resumed.cert_fingerprints == fresh.cert_fingerprints
+        assert (resumed.ssl_rows, resumed.x509_rows,
+                resumed.missing_certs) == \
+            (fresh.ssl_rows, fresh.x509_rows, fresh.missing_certs)
+        assert resumed.x509_rows > 0
+
+
+class TestDroppedOwner:
+    def test_survivors_still_get_the_certificate_table(self, corpus,
+                                                       monkeypatch):
+        # With serial fallback off, the supervisor drops a poison task's
+        # result (None); when that task owned the x509 file, the driver
+        # rebuilds the table the surviving shards need itself.
+        dispatch = engine.run_supervised
+
+        def drop_owner(*args, **kwargs):
+            outcome = dispatch(*args, **kwargs)
+            outcome.results[0] = None
+            return outcome
+
+        monkeypatch.setattr(engine, "run_supervised", drop_owner)
+        shards = corpus["shards"]
+        ingest = ingest_shards(shards, jobs=2)
+        monkeypatch.undo()
+        fresh = ingest_shards(shards[1:], jobs=2)
+        assert canon(ingest.chains) == canon(fresh.chains)
+        assert cert_view(ingest.chains) == cert_view(fresh.chains)
+        assert ingest.cert_fingerprints == fresh.cert_fingerprints
+        assert ingest.ssl_rows == fresh.ssl_rows
