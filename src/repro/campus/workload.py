@@ -22,20 +22,21 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..tls.connection import ConnectionRecord
-from ..tls.handshake import HandshakeSimulator, TLSClient, TLSServer
+from ..tls.connection import ConnectionRecord, Endpoint
+from ..tls.handshake import HandshakeSimulator
 from ..tls.messages import TLSVersion
 from ..tls.policy import (
     BrowserPolicy,
     PermissivePolicy,
     StrictPresentedChainPolicy,
     ValidationPolicy,
+    ValidationResult,
 )
 from ..truststores.registry import PublicDBRegistry
 from .profiles import PAPER, PORT_MODELS, ScaleConfig
 from .spec import ChainSpec
 
-__all__ = ["ClientPools", "SpecPlan", "WorkloadGenerator",
+__all__ = ["CellDraw", "ClientPools", "SpecPlan", "WorkloadGenerator",
            "GENERATION_SHARDS", "STUDY_START", "STUDY_DAYS", "shard_window"]
 
 STUDY_START = datetime(2020, 9, 1, tzinfo=timezone.utc)
@@ -48,6 +49,12 @@ STUDY_DAYS = 365
 #: therefore every derived RNG stream and the output bytes) must be
 #: identical at any worker count.
 GENERATION_SHARDS = 12
+
+#: One connection of a cell, as :meth:`WorkloadGenerator.draw_cell` yields
+#: it: ``(visible, client_ip, sends_sni, when, result, uid, client_port)``.
+#: ``visible`` is true for the monitor-visible TLS 1.2 slice and false for
+#: TLS 1.3, whose certificates the monitor cannot see.
+CellDraw = Tuple[bool, str, bool, datetime, ValidationResult, str, int]
 
 
 def shard_window(shard: int, shards: int = GENERATION_SHARDS
@@ -128,9 +135,11 @@ class SpecPlan:
 class WorkloadGenerator:
     """Drives handshakes for every spec and yields monitor-view records.
 
-    Generation is cell-structured: :meth:`generate_cell` simulates the
+    Generation is cell-structured: :meth:`draw_cell` simulates the
     connections of one (interval, spec) pair from that cell's private RNG
-    stream and handshake simulator.  :meth:`generate` walks cells
+    stream and handshake simulator, and :meth:`generate_cell` turns its
+    draws into records (the parallel engine's shard writers render rows
+    from the draws directly).  :meth:`generate` walks cells
     shard-major (interval 0 for every spec, then interval 1, ...), which
     is exactly the concatenation order of the parallel engine's per-shard
     log files — so serial output and merged parallel output are
@@ -229,58 +238,99 @@ class WorkloadGenerator:
             visible_shards=frozenset(shard_of[:n_visible]),
         )
 
-    def connection_count(self, spec: ChainSpec) -> int:
-        return self.plan_for(spec).n_visible
-
     # -- generation -------------------------------------------------------------
 
-    def _server_for(self, spec: ChainSpec, plan: SpecPlan) -> TLSServer:
-        return TLSServer(
-            ip=self._server_ip(spec),
-            port=plan.port,
-            chain=spec.chain,
-            max_version=(TLSVersion.TLS13 if plan.n_tls13
-                         else TLSVersion.TLS12),
-            hostnames=(spec.hostname,) if spec.hostname else (),
-        )
+    def draw_cell(self, spec: ChainSpec, shard: int, *,
+                  plan: Optional[SpecPlan] = None) -> Iterator[CellDraw]:
+        """The draw kernel: one (interval, spec) cell's connections.
+
+        Yields one :data:`CellDraw` per connection, ``(visible, client_ip,
+        sends_sni, when, result, uid, client_port)``.  The cell has its own
+        RNG stream and handshake simulator, both derived from (seed,
+        interval, spec digest), so it depends on nothing generated before
+        it — any worker can produce it, in any order, with identical
+        output.  Per connection the draws are, in this order: the client
+        mix roll, the client index, the SNI roll and the time offset from
+        the cell stream, then :meth:`HandshakeSimulator.handshake`
+        (validation, UID, client port).  Everything that does not vary
+        inside the cell — the mix's cumulative bounds and their policies,
+        the visible/TLS 1.3 split and the interval window — is worked out
+        once before the first draw.
+
+        The cell's connections are its plan indices in ascending order, and
+        indices ``< n_visible`` are the monitor-visible TLS 1.2 slice, so a
+        cell is its visible connections followed by its TLS 1.3 ones.  The
+        server negotiates TLS 1.3 whenever the plan has a TLS 1.3 slice,
+        which makes the negotiated version the client's own: TLS 1.2 when
+        ``visible``, else TLS 1.3.
+        """
+        if plan is None:
+            plan = self.plan_for(spec)
+        n_visible = plan.n_visible
+        visible = plan.shard_of[:n_visible].count(shard)
+        hidden = plan.shard_of[n_visible:].count(shard)
+        if not visible and not hidden:
+            return
+        stream = f"{self.seed}:{shard:02d}:{plan.plan_id}"
+        rng = random.Random(f"workload:{stream}")
+        handshake = HandshakeSimulator(seed=f"workload-hs:{stream}").handshake
+        # ``_draw`` over the mix, with the running sums and policy lookups
+        # done once: the same float additions in the same order, so every
+        # roll lands on the same kind.
+        bounds = []
+        acc = 0.0
+        for kind, weight in spec.mix.weights():
+            acc += weight
+            bounds.append((acc, self._policy_for(kind, spec)))
+        fallback = bounds[-1][1]
+        clients = plan.clients
+        sni_rate = spec.sni_rate
+        chain = spec.chain
+        start, span = shard_window(shard, self.shards)
+        random_ = rng.random
+        choice = rng.choice
+        uniform = rng.uniform
+        for is_visible in (True,) * visible + (False,) * hidden:
+            roll = random_()
+            for bound, policy in bounds:
+                if roll < bound:
+                    break
+            else:
+                policy = fallback
+            # ``choice`` draws exactly what clients[randrange(len)] does.
+            client_ip = choice(clients)
+            sends_sni = random_() < sni_rate
+            when = STUDY_START + timedelta(seconds=start + uniform(0, span))
+            result, uid, port = handshake(policy, chain, when=when)
+            yield (is_visible, client_ip, sends_sni, when, result, uid, port)
 
     def generate_cell(self, spec: ChainSpec, shard: int, *,
                       plan: Optional[SpecPlan] = None
                       ) -> Iterator[ConnectionRecord]:
-        """Simulate one (interval, spec) cell's connections.
+        """One cell's connections as monitor-view records.
 
-        The cell has its own RNG stream and handshake simulator, both
-        derived from (seed, interval, spec digest), so it depends on
-        nothing generated before it — any worker can produce it, in any
-        order, with identical output.
+        A thin wrapper over :meth:`draw_cell`: each draw becomes the
+        :class:`ConnectionRecord` that :meth:`HandshakeSimulator.connect`
+        would have returned for it.
         """
         if plan is None:
             plan = self.plan_for(spec)
-        indices = [i for i, s in enumerate(plan.shard_of) if s == shard]
-        if not indices:
-            return
-        stream = f"{self.seed}:{shard:02d}:{plan.plan_id}"
-        rng = random.Random(f"workload:{stream}")
-        sim = HandshakeSimulator(seed=f"workload-hs:{stream}")
-        server = self._server_for(spec, plan)
-        start, span = shard_window(shard, self.shards)
-        mix = spec.mix.weights()
-        clients = plan.clients
-        for i in indices:
-            kind = self._draw(rng, mix)
-            version = (TLSVersion.TLS13 if i >= plan.n_visible
-                       else TLSVersion.TLS12)
-            client = TLSClient(
-                ip=clients[rng.randrange(len(clients))],
-                policy=self._policy_for(kind, spec),
-                version=version,
-                sends_sni=rng.random() < spec.sni_rate,
+        server = Endpoint(self._server_ip(spec), plan.port)
+        hostname = spec.hostname
+        chain = spec.chain
+        for visible, client_ip, sends_sni, when, result, uid, port in \
+                self.draw_cell(spec, shard, plan=plan):
+            yield ConnectionRecord(
+                uid=uid,
+                timestamp=when,
+                client=Endpoint(client_ip, port),
+                server=server,
+                version=TLSVersion.TLS12 if visible else TLSVersion.TLS13,
+                sni=hostname if sends_sni else None,
+                established=result.ok,
+                chain=chain if visible else (),
+                validation_detail=result.detail,
             )
-            when = STUDY_START + timedelta(
-                seconds=start + rng.uniform(0, span))
-            outcome = sim.connect(client, server, sni=spec.hostname,
-                                  when=when)
-            yield outcome.record
 
     def generate_for_spec(self, spec: ChainSpec) -> Iterator[ConnectionRecord]:
         plan = self.plan_for(spec)

@@ -56,8 +56,8 @@ from ..faults.plan import active_plan
 from ..resilience.checkpoint import input_fingerprint
 from ..zeek.format import ZeekLogWriter
 from .pool import clamp_jobs
-from ..zeek.records import (SSLRecord, X509Record, ssl_record_from_connection,
-                            x509_record_from_certificate)
+from ..tls.messages import TLSVersion
+from ..zeek.records import SSLRecord, X509Record, x509_record_from_certificate
 from .shards import ShardSpec
 from .supervisor import (SupervisedRun, SupervisorConfig, resolve_config,
                          run_supervised)
@@ -66,6 +66,10 @@ __all__ = ["GenerateTask", "GenerateShardResult", "GenerateResult",
            "generate_dataset", "process_generate_shard"]
 
 log = get_logger(__name__)
+
+#: ``version`` column values of the visible and the TLS 1.3 slices.
+_TLS12 = TLSVersion.TLS12.value
+_TLS13 = TLSVersion.TLS13.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,10 +132,14 @@ def _context_for(seed: int | str, scale: ScaleConfig):
     key = (seed, scale)
     cached = _CONTEXT_CACHE.get(key)
     if cached is None:
-        context = build_generation_context(seed=seed, scale=scale)
-        plans = [context.generator.plan_for(spec) for spec in context.specs]
-        cached = (context, plans,
-                  _first_visible_intervals(context.specs, plans))
+        # Its own span, so a trace tells the one-off setup apart from the
+        # first shard's simulation.
+        with trace_span("generation_context"):
+            context = build_generation_context(seed=seed, scale=scale)
+            plans = [context.generator.plan_for(spec)
+                     for spec in context.specs]
+            cached = (context, plans,
+                      _first_visible_intervals(context.specs, plans))
         _CONTEXT_CACHE.clear()  # one live context per worker is plenty
         _CONTEXT_CACHE[key] = cached
     return cached
@@ -162,11 +170,14 @@ def _first_visible_intervals(specs, plans) -> Dict[str, int]:
 def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
     """Simulate one study-window interval and write its shard logs.
 
-    Streams connection records straight into the two log writers: the
-    SSL row per connection, and an X509 row for each certificate not
-    introduced by an earlier interval (or earlier in this one) —
-    timestamped, like the serial tap, with the first presenting
-    connection's timestamp.
+    Renders each cell's draws (:meth:`WorkloadGenerator.draw_cell`)
+    straight into the two log writers, with no per-connection record
+    objects: the SSL row per connection, and an X509 row for each
+    certificate not introduced by an earlier interval (or earlier in this
+    one) — timestamped, like the serial tap, with the first presenting
+    connection's timestamp.  A cell's visible connections come first and
+    all present the same chain, so only its first connection can
+    introduce a certificate, and only when it is visible.
     """
     start = time.perf_counter()
     result = GenerateShardResult(shard=task.shard, ssl_path=task.ssl_path,
@@ -174,7 +185,6 @@ def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
     with capture_telemetry("generate", task.shard) as telemetry, \
             trace_span("generate_shard", shard=task.shard):
         context, plans, first = _context_for(task.seed, task.scale)
-        specs = context.specs
         generator = context.generator
         seen = {fingerprint for fingerprint, shard in first.items()
                 if shard < task.shard}
@@ -186,18 +196,40 @@ def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
                     ZeekLogWriter(x509_handle, "x509", X509Record.FIELDS,
                                   X509Record.TYPES, open_time=task.open_time,
                                   compiled=task.compiled) as x509_writer:
-                for record in generator.generate_shard(specs, task.shard,
-                                                       plans=plans):
-                    ssl_writer.write_row(
-                        ssl_record_from_connection(record).to_row())
-                    result.ssl_rows += 1
-                    for certificate in record.chain:
-                        fingerprint = certificate.fingerprint
-                        if fingerprint not in seen:
-                            seen.add(fingerprint)
-                            x509_writer.write_row(x509_record_from_certificate(
-                                certificate, record.timestamp).to_row())
-                            result.x509_rows += 1
+                write_ssl = ssl_writer.write_row
+                ssl_rows = x509_rows = 0
+                for spec, plan in zip(context.specs, plans):
+                    server_ip = generator._server_ip(spec)
+                    server_port = plan.port
+                    hostname = spec.hostname
+                    chain = spec.chain
+                    fingerprints = tuple(c.fingerprint for c in chain)
+                    first_draw = True
+                    for (visible, client_ip, sends_sni, when, verdict, uid,
+                         port) in generator.draw_cell(spec, task.shard,
+                                                      plan=plan):
+                        write_ssl([
+                            when.timestamp(), uid, client_ip, port,
+                            server_ip, server_port,
+                            _TLS12 if visible else _TLS13,
+                            hostname if sends_sni else None, False,
+                            verdict.ok, fingerprints if visible else (),
+                            verdict.detail,
+                        ])
+                        ssl_rows += 1
+                        if first_draw:
+                            first_draw = False
+                            if visible:
+                                for certificate in chain:
+                                    fingerprint = certificate.fingerprint
+                                    if fingerprint not in seen:
+                                        seen.add(fingerprint)
+                                        x509_writer.write_row(
+                                            x509_record_from_certificate(
+                                                certificate, when).to_row())
+                                        x509_rows += 1
+                result.ssl_rows = ssl_rows
+                result.x509_rows = x509_rows
     result.telemetry = telemetry
     result.seconds = time.perf_counter() - start
     return result

@@ -18,6 +18,7 @@ from repro.tls import (
     ValidationStatus,
     build_middlebox,
 )
+from repro.tls.handshake import _negotiate
 from repro.x509 import CertificateFactory, name
 
 
@@ -127,6 +128,50 @@ class TestUidDraws:
             redraws += probe.getstate() != twin.getstate()
             assert sim._next_uid() == expected
         assert redraws > 0
+
+
+class TestHandshakeStep:
+    """``handshake`` is the one place the post-hello draw order lives."""
+
+    def test_validates_then_draws_uid_then_port(self, public_server, when):
+        sim = HandshakeSimulator(seed=5)
+        twin = random.Random("handshake:5")
+        result, uid, port = sim.handshake(PermissivePolicy(),
+                                          public_server.chain, when=when)
+        assert result.ok
+        assert uid == TestUidDraws._reference_uid(twin)
+        assert port == twin.randint(32768, 60999)
+        assert sim._rng.getstate() == twin.getstate()
+
+    def test_given_port_is_not_drawn(self, public_server, when):
+        sim = HandshakeSimulator(seed=5)
+        twin = random.Random("handshake:5")
+        _, _, port = sim.handshake(PermissivePolicy(), public_server.chain,
+                                   when=when, client_port=40000)
+        TestUidDraws._reference_uid(twin)
+        assert port == 40000
+        assert sim._rng.getstate() == twin.getstate()
+
+    def test_connect_record_carries_the_handshake_draws(self, registry,
+                                                         public_server,
+                                                         when):
+        policy = BrowserPolicy(registry)
+        result, uid, port = HandshakeSimulator(seed=6).handshake(
+            policy, public_server.chain, when=when)
+        record = HandshakeSimulator(seed=6).connect(
+            TLSClient("10.0.0.1", policy=policy), public_server,
+            when=when).record
+        assert (record.uid, record.client.port) == (uid, port)
+        assert record.established is result.ok
+        assert record.validation_detail == result.detail
+
+    @pytest.mark.parametrize("client", list(TLSVersion))
+    @pytest.mark.parametrize("server", list(TLSVersion))
+    def test_negotiates_the_lower_version(self, client, server):
+        order = [TLSVersion.TLS10, TLSVersion.TLS11, TLSVersion.TLS12,
+                 TLSVersion.TLS13]
+        assert _negotiate(client, server) is min(client, server,
+                                                 key=order.index)
 
 
 class TestMiddlebox:
