@@ -4,11 +4,17 @@
 :func:`~repro.parallel.worker.process_shard` call per shard across a
 ``ProcessPoolExecutor`` (``jobs=1`` runs inline — no pool, no pickling)
 and folds the returned partials into a single chain map with
-:meth:`ChainUsage.merge` semantics.  On the columnar path the packed
-partials fold straight into one ``{key: ChainUsage}`` map
-(:func:`~repro.core.packed.merge_shard_columns`), each x509 file's
-certificate table is rebuilt once — from the payload of the shard that
-owns the file — and ``ObservedChain`` objects are built once at the end.
+:meth:`ChainUsage.merge` semantics.  On the columnar path the driver
+merges *while the pool runs*: the supervisor hands each packed partial
+over as it lands (``on_complete``), and :class:`_ShardMerger` folds it
+straight into one ``{key: ChainUsage}`` map
+(:func:`~repro.core.packed.merge_shard_columns`) once every lower-index
+shard has been folded, buffering partials that land early.  Each x509
+file's certificate table is rebuilt once — from the payload of the
+shard that owns the file, when the merge first reaches it — and
+``ObservedChain`` objects are built once, after the pool has drained.
+Every merged shard leaves an ``ingest_merge`` span in the driver's
+trace, so the overlap with the workers' ``ingest_shard`` spans shows.
 
 **Determinism.**  The merged output is byte-identical to a serial pass
 over the same shards regardless of worker count or completion order:
@@ -16,7 +22,8 @@ over the same shards regardless of worker count or completion order:
 * partials are merged strictly in shard-index order, so the chain dict's
   insertion order — and every ``Counter``'s key order inside the usage
   accumulators — reproduces the order a single process would have
-  produced scanning shard 0, then 1, …;
+  produced scanning shard 0, then 1, … (a shard the supervisor dropped
+  is skipped once the pool has drained);
 * workers leave no direct metrics behind (their observations are
   captured into telemetry and restored away — see
   :mod:`repro.obs.sink`); the driver derives the canonical
@@ -150,17 +157,17 @@ def ingest_shards(shards: Iterable[ShardSpec], *,
                        == spec.index)
              for spec in shard_list]
     config = resolve_config(supervise, plan=plan, quarantine=quarantine)
+    merger = _ShardMerger(tasks) if columnar else None
     with trace_span("parallel_ingest", shards=len(tasks), jobs=jobs):
         outcome = run_supervised(
             "ingest", tasks, process_shard, jobs=jobs, config=config,
             task_ids=lambda task, i: f"ingest:{task.index:04d}",
-            fingerprint_fn=_shard_fingerprint)
-    done = [(task, aggregate)
-            for task, aggregate in zip(tasks, outcome.results)
-            if aggregate is not None]
-    aggregates = [aggregate for _, aggregate in done]
-    if columnar:
-        chains, cert_fingerprints = _merge_packed(done)
+            fingerprint_fn=_shard_fingerprint,
+            on_complete=merger.land if merger is not None else None)
+    aggregates = [aggregate for aggregate in outcome.results
+                  if aggregate is not None]
+    if merger is not None:
+        chains, cert_fingerprints = merger.finish()
     else:
         chains, cert_fingerprints = _merge_rows(aggregates)
     result = _reduce(aggregates, chains, cert_fingerprints, jobs=jobs,
@@ -186,49 +193,81 @@ def ingest_logs(ssl_path: str, x509_path: str, *,
                          columnar=columnar)
 
 
-def _merge_packed(done: List[Tuple[ShardTask, ColumnarShardAggregate]]
-                  ) -> Tuple[Dict[tuple, ObservedChain], List[str]]:
-    """Fold packed partials into one chain map, in shard order.
+class _ShardMerger:
+    """Folds packed partials into one chain map, strictly in shard order.
+
+    The supervisor hands results over as they land (:meth:`land`), in
+    completion order; a result that lands before a lower-index one is
+    buffered, and each arrival drains the contiguous prefix — so the
+    driver merges while the pool is still running, and the fold order
+    is exactly shard 0, 1, … whatever the completion order.
 
     Usage columns merge straight into one ``{key: ChainUsage}`` map.
     Each x509 file's certificate table is rebuilt once, from its
     owner's payload; every key takes its certificates from the table of
     the first shard that contained it, and ``ObservedChain`` objects are
-    built once, after the last shard.  The canonical
-    ``repro_columnar_*`` metrics come from the worker-reported stats.
+    built once, in :meth:`finish`.  The canonical ``repro_columnar_*``
+    metrics come from the worker-reported stats.
     """
-    usages: Dict[tuple, ChainUsage] = {}
-    #: x509 path -> certificates by fingerprint
-    tables: Dict[str, dict] = {}
-    #: x509 path -> the keys that take their certificates from it
-    origins: Dict[str, List[tuple]] = {}
-    cert_fingerprints: List[str] = []
-    seen_fps = set()
-    for task, aggregate in done:
-        columns = unpack_shard_payload(aggregate.payload)
-        path = task.x509_path
-        if path not in tables:
-            owner = (columns if task.ships_certificates
-                     else _dropped_owner(task))
-            tables[path] = _rebuild_certificates(owner.x509_columns)
-            # Later shards of this file would add no new fingerprint.
-            for fingerprint in owner.cert_fingerprints:
-                if fingerprint not in seen_fps:
-                    seen_fps.add(fingerprint)
-                    cert_fingerprints.append(fingerprint)
-        origins.setdefault(path, []).extend(
-            merge_shard_columns(usages, columns))
+
+    def __init__(self, tasks: Sequence[ShardTask]) -> None:
+        self._tasks = tasks
+        #: task position -> a result that landed ahead of its turn
+        self._landed: Dict[int, ColumnarShardAggregate] = {}
+        self._next = 0
+        self._usages: Dict[tuple, ChainUsage] = {}
+        #: x509 path -> certificates by fingerprint
+        self._tables: Dict[str, dict] = {}
+        #: x509 path -> the keys that take their certificates from it
+        self._origins: Dict[str, List[tuple]] = {}
+        self._cert_fingerprints: List[str] = []
+        self._seen_fps: set = set()
+
+    def land(self, i: int, aggregate: ColumnarShardAggregate) -> None:
+        """Task ``i``'s result arrived: merge every shard now in turn."""
+        self._landed[i] = aggregate
+        while self._next in self._landed:
+            self._merge(self._tasks[self._next],
+                        self._landed.pop(self._next))
+            self._next += 1
+
+    def finish(self) -> Tuple[Dict[tuple, ObservedChain], List[str]]:
+        """Merge what waits behind dropped shards; build the chain map."""
+        for i in range(self._next, len(self._tasks)):
+            aggregate = self._landed.pop(i, None)
+            if aggregate is not None:  # None: dropped by the supervisor
+                self._merge(self._tasks[i], aggregate)
+        built: Dict[tuple, ObservedChain] = {}
+        for path, keys in self._origins.items():
+            built.update(materialize_chains(
+                keys, [self._usages[key] for key in keys],
+                self._tables[path]))
+        if len(self._origins) > 1:  # back into merged (first-seen) key order
+            built = {key: built[key] for key in self._usages}
+        return built, self._cert_fingerprints
+
+    def _merge(self, task: ShardTask,
+               aggregate: ColumnarShardAggregate) -> None:
+        with trace_span("ingest_merge", shard=task.index,
+                        payload_bytes=len(aggregate.payload)):
+            columns = unpack_shard_payload(aggregate.payload)
+            path = task.x509_path
+            if path not in self._tables:
+                owner = (columns if task.ships_certificates
+                         else _dropped_owner(task))
+                self._tables[path] = _rebuild_certificates(
+                    owner.x509_columns)
+                # Later shards of this file would add no new fingerprint.
+                for fingerprint in owner.cert_fingerprints:
+                    if fingerprint not in self._seen_fps:
+                        self._seen_fps.add(fingerprint)
+                        self._cert_fingerprints.append(fingerprint)
+            self._origins.setdefault(path, []).extend(
+                merge_shard_columns(self._usages, columns))
         instruments.COLUMNAR_PAYLOAD_BYTES.inc(len(aggregate.payload))
         for stats in (aggregate.x509_stats, aggregate.ssl_stats):
             if stats is not None:
                 stats.emit()
-    built: Dict[tuple, ObservedChain] = {}
-    for path, keys in origins.items():
-        built.update(materialize_chains(
-            keys, [usages[key] for key in keys], tables[path]))
-    if len(origins) > 1:  # back into merged (first-seen) key order
-        built = {key: built[key] for key in usages}
-    return built, cert_fingerprints
 
 
 def _rebuild_certificates(spec: Dict[str, list]) -> dict:

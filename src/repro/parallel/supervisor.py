@@ -35,9 +35,12 @@ dataset generation, batch scanning):
   fingerprint still matches instead of recomputing them.
 
 **Determinism.**  None of this touches the byte-identical merge
-guarantee: results come back in task-list order no matter which pool,
-attempt, or journal replay produced each one, and the engines keep
-merging partials in shard/interval/batch order.  Ordinary
+guarantee: :attr:`SupervisedRun.results` is indexed by task position no
+matter which pool, attempt, or journal replay produced each entry, and
+the engines keep merging partials in shard/interval/batch order.  An
+engine that wants to merge while the pool runs passes ``on_complete``:
+it sees each result as it lands (completion order, not task order) and
+buffers out-of-order ones itself.  Ordinary
 exceptions raised by the task function itself (a malformed shard in
 strict mode, say) are *not* infrastructure failures: they are never
 retried, and when several tasks fail this way the error of the
@@ -269,14 +272,23 @@ def run_supervised(kind: str, tasks: Sequence[Any],
                    task_ids: Optional[Callable[[Any, int], str]] = None,
                    fingerprint_fn: Optional[Callable[[Any], str]] = None,
                    validate_fn: Optional[Callable[[Any, Any], bool]] = None,
+                   on_complete: Optional[Callable[[int, Any], None]] = None,
                    ) -> SupervisedRun:
-    """Dispatch ``fn`` over ``tasks``, supervised; results in task order.
+    """Dispatch ``fn`` over ``tasks``, supervised.
 
-    ``jobs <= 1`` runs inline (no pool, no fault injection — identical
-    to the engines' historical serial path) but still honours the
-    journal.  ``fingerprint_fn`` derives each task's input fingerprint
-    for journaling; ``validate_fn(task, payload)`` may veto a journal
-    replay whose side-effect files have vanished (generation shards).
+    ``run.results[i]`` is task ``i``'s result, whichever attempt, pool
+    or journal replay produced it.  ``jobs <= 1`` runs inline (no pool,
+    no fault injection — identical to the engines' historical serial
+    path) but still honours the journal.  ``fingerprint_fn`` derives
+    each task's input fingerprint for journaling; ``validate_fn(task,
+    payload)`` may veto a journal replay whose side-effect files have
+    vanished (generation shards).
+
+    ``on_complete(i, payload)`` runs in the calling process once per
+    result, as soon as it is recorded: journal replays first (task
+    order), then inline runs, pool completions (completion order) and
+    serial fallbacks.  It never runs for a task that raised or was
+    dropped; an exception it raises aborts the dispatch.
     """
     config = config or SupervisorConfig()
     tasks = list(tasks)
@@ -305,6 +317,8 @@ def run_supervised(kind: str, tasks: Sequence[Any],
                 instruments.SUPERVISOR_JOURNAL.inc(result="replayed")
                 instruments.SUPERVISOR_TASKS.inc(kind=kind,
                                                  outcome="replayed")
+                if on_complete is not None:
+                    on_complete(i, payload)
             else:
                 instruments.SUPERVISOR_JOURNAL.inc(result="stale")
         if run.journal_replayed:
@@ -318,6 +332,8 @@ def run_supervised(kind: str, tasks: Sequence[Any],
         instruments.SUPERVISOR_TASKS.inc(kind=kind, outcome=outcome)
         if journal is not None:
             journal.record(kind, ids[i], fingerprints[i], payload)
+        if on_complete is not None:
+            on_complete(i, payload)
 
     pending = [i for i in range(len(tasks)) if not done[i]]
     if not pending:

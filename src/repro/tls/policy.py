@@ -140,6 +140,10 @@ class BrowserPolicy(ValidationPolicy):
         #: Presented fingerprints -> [joint validity window (None when
         #: periods are not checked), result once computed inside it].
         self._memo: dict[tuple, list] = {}
+        #: The last presented tuple and its memo entry: generation shows
+        #: the same ``spec.chain`` tuple for every connection of a spec,
+        #: so an identity check skips rebuilding the fingerprint key.
+        self._last: tuple = ((), None)
 
     def _revocation_verdict(self, path: Sequence[Certificate],
                             at: datetime) -> Optional[ValidationResult]:
@@ -171,14 +175,18 @@ class BrowserPolicy(ValidationPolicy):
                  at: datetime) -> ValidationResult:
         if not presented or self.revocation is not None:
             return self._validate(presented, at)
-        key = tuple(certificate.fingerprint for certificate in presented)
-        entry = self._memo.get(key)
-        if entry is None:
-            window = None
-            if self.check_validity_period:
-                window = (max(c.validity.not_before for c in presented),
-                          min(c.validity.not_after for c in presented))
-            entry = self._memo[key] = [window, None]
+        last, entry = self._last
+        if presented is not last:
+            key = tuple(certificate.fingerprint for certificate in presented)
+            entry = self._memo.get(key)
+            if entry is None:
+                window = None
+                if self.check_validity_period:
+                    window = (max(c.validity.not_before for c in presented),
+                              min(c.validity.not_after for c in presented))
+                entry = self._memo[key] = [window, None]
+            if type(presented) is tuple:  # immutable: safe to recognise
+                self._last = (presented, entry)
         window, result = entry
         if window is not None and not window[0] <= at <= window[1]:
             # Outside the joint window some presented certificate is

@@ -199,7 +199,46 @@ class DistinguishedName:
 
     @classmethod
     def _parse_uncached(cls, text: str) -> "DistinguishedName":
-        text = _strip_unescaped_spaces(text.strip("\r\n"))
+        text = text.strip("\r\n")
+        if "\\" not in text and text.isascii():
+            return cls._parse_plain(text)
+        return cls._parse_escaped(text)
+
+    @classmethod
+    def _parse_plain(cls, text: str) -> "DistinguishedName":
+        """:meth:`_parse_escaped` for ASCII text without a backslash.
+
+        With no escape in play, every escape-aware helper reduces to a
+        ``str`` builtin — unescaped split to ``split``, space stripping
+        to ``strip(" ")``, the ``=`` search to ``find``, and unescaping
+        to the identity (ASCII survives the UTF-8 round trip) — so this
+        returns the same names and raises the same errors, in the same
+        order, without a per-character loop.
+        """
+        text = text.strip(" ")
+        if not text:
+            return cls(())
+        attrs: list[AttributeTypeAndValue] = []
+        for rdn in text.split(","):
+            for atv in rdn.split("+"):
+                atv = atv.strip(" ")
+                if not atv:
+                    raise DNParseError(f"empty RDN component in {text!r}")
+                eq = atv.find("=")
+                if eq < 0:
+                    raise DNParseError(f"missing '=' in RDN component {atv!r}")
+                attr_type = atv[:eq].strip()
+                if not attr_type:
+                    raise DNParseError(f"empty attribute type in {atv!r}")
+                attrs.append(AttributeTypeAndValue(
+                    OID_NAMES.get(attr_type, attr_type),
+                    atv[eq + 1:].strip(" ")))
+        return cls(attrs)
+
+    @classmethod
+    def _parse_escaped(cls, text: str) -> "DistinguishedName":
+        """The escape-aware parser: RFC 4514 backslash and hex escapes."""
+        text = _strip_unescaped_spaces(text)
         if not text:
             return cls(())
         attrs: list[AttributeTypeAndValue] = []

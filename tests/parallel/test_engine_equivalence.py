@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import random
 import shutil
 
 import pytest
@@ -26,11 +27,13 @@ from repro.faults.injector import FaultInjector
 from repro.obs.metrics import get_registry
 from repro.parallel import discover_shards, engine, ingest_logs, \
     ingest_shards, split_zeek_log
-from repro.parallel.supervisor import SupervisorConfig
+from repro.parallel.pool import NO_CPU_CLAMP_VAR
+from repro.parallel.supervisor import HANG_SECONDS_VAR, SupervisorConfig
 from repro.resilience import Quarantine
 from repro.resilience.journal import RunJournal
 from repro.zeek.columnar import read_zeek_log_columnar
-from repro.zeek.format import read_zeek_log, write_zeek_log
+from repro.zeek.format import ZeekFormatError, read_zeek_log, \
+    write_zeek_log
 from repro.zeek.records import SSLRecord, X509Record
 from repro.zeek.tap import join_logs
 
@@ -438,25 +441,144 @@ class TestJournalOwnerIdentity:
         assert resumed.x509_rows > 0
 
 
+#: Hangs ingest shard 0 on its first pool attempt and no other shard
+#: (seed-searched over the four-shard corpus): with no retries and no
+#: serial fallback the supervisor really drops the x509 file's owner.
+DROP_OWNER = FaultPlan(seed="drop-owner-11", worker_hang_rate=0.5)
+
+
 class TestDroppedOwner:
     def test_survivors_still_get_the_certificate_table(self, corpus,
                                                        monkeypatch):
         # With serial fallback off, the supervisor drops a poison task's
         # result (None); when that task owned the x509 file, the driver
         # rebuilds the table the surviving shards need itself.
-        dispatch = engine.run_supervised
-
-        def drop_owner(*args, **kwargs):
-            outcome = dispatch(*args, **kwargs)
-            outcome.results[0] = None
-            return outcome
-
-        monkeypatch.setattr(engine, "run_supervised", drop_owner)
+        monkeypatch.setenv(NO_CPU_CLAMP_VAR, "1")
+        monkeypatch.setenv(HANG_SECONDS_VAR, "60")
         shards = corpus["shards"]
-        ingest = ingest_shards(shards, jobs=2)
-        monkeypatch.undo()
+        ingest = ingest_shards(shards, jobs=2, supervise=SupervisorConfig(
+            plan=DROP_OWNER, max_task_retries=0, task_timeout=5.0,
+            serial_fallback=False))
+        assert ingest.supervisor.results[0] is None
+        assert ingest.supervisor.quarantined == ["ingest:0000"]
         fresh = ingest_shards(shards[1:], jobs=2)
         assert canon(ingest.chains) == canon(fresh.chains)
         assert cert_view(ingest.chains) == cert_view(fresh.chains)
         assert ingest.cert_fingerprints == fresh.cert_fingerprints
         assert ingest.ssl_rows == fresh.ssl_rows
+
+
+def relanded(order):
+    """A ``run_supervised`` whose results reach the merger in ``order``.
+
+    The dispatch runs as usual; the results it hands to ``on_complete``
+    are held back and re-delivered, after the pool, in the order
+    ``order(landed)`` gives — so the merger has to buffer them.
+    """
+    dispatch = engine.run_supervised
+
+    def run(*args, on_complete=None, **kwargs):
+        landed = []
+        outcome = dispatch(*args, on_complete=lambda i, payload:
+                           landed.append((i, payload)), **kwargs)
+        for i, payload in order(sorted(landed, key=lambda item: item[0])):
+            on_complete(i, payload)
+        return outcome
+    return run
+
+
+def shuffled(landed):
+    landed = list(landed)
+    random.Random(7).shuffle(landed)
+    return landed
+
+
+def observable(ingest):
+    """Everything a merge order could move: chains (dict order, Counter
+    key order, usage), certificates, fingerprints, tallies."""
+    return (canon(ingest.chains), cert_view(ingest.chains),
+            ingest.cert_fingerprints,
+            (ingest.ssl_rows, ingest.x509_rows, ingest.joined,
+             ingest.missing_certs, ingest.aggregated, ingest.skipped_empty))
+
+
+class TestStreamingMerge:
+    """The driver merges as results land; the fold must not notice."""
+
+    @pytest.fixture(params=["corpus", "paired"])
+    def shards(self, request, corpus, paired):
+        return corpus["shards"] if request.param == "corpus" \
+            else paired["shards"]
+
+    @pytest.fixture()
+    def in_order(self, shards):
+        """The batch fold: every result merged in shard order after the
+        pool has drained."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "run_supervised", relanded(list))
+            return observable(ingest_shards(shards, jobs=2))
+
+    @pytest.mark.parametrize("order", [list, lambda landed: landed[::-1],
+                                       shuffled],
+                             ids=["in-order", "reverse", "shuffled"])
+    def test_landing_order_does_not_matter(self, shards, in_order, order,
+                                           monkeypatch):
+        monkeypatch.setattr(engine, "run_supervised", relanded(order))
+        assert observable(ingest_shards(shards, jobs=2)) == in_order
+
+    @pytest.mark.parametrize("jobs", JOBS_MATRIX)
+    def test_live_merge_equals_the_batch_fold(self, shards, in_order, jobs):
+        assert observable(ingest_shards(shards, jobs=jobs)) == in_order
+
+    def test_inline_run_merges_each_shard_as_it_finishes(self, corpus,
+                                                         monkeypatch):
+        events = []
+        run_shard = engine.process_shard
+        merge = engine._ShardMerger._merge
+
+        def shard(task):
+            events.append(("shard", task.index))
+            return run_shard(task)
+
+        def merged(self, task, aggregate):
+            events.append(("merge", task.index))
+            return merge(self, task, aggregate)
+
+        monkeypatch.setattr(engine, "process_shard", shard)
+        monkeypatch.setattr(engine._ShardMerger, "_merge", merged)
+        ingest_shards(corpus["shards"], jobs=1)
+        assert events == [(kind, spec.index) for spec in corpus["shards"]
+                          for kind in ("shard", "merge")]
+
+    def test_resume_with_a_partial_journal(self, shards, in_order,
+                                           tmp_path):
+        # Journal shards 0 and 2 only (their fingerprints, ownership
+        # included, match the full run's); the resume replays those two
+        # ahead of the pool, so shard 2 lands before shard 1.
+        with RunJournal(str(tmp_path / "journal")) as journal:
+            ingest_shards([shards[0], shards[2]], jobs=2,
+                          supervise=SupervisorConfig(journal=journal))
+        with RunJournal(str(tmp_path / "journal")) as journal:
+            resumed = ingest_shards(
+                shards, jobs=2,
+                supervise=SupervisorConfig(journal=journal, resume=True))
+        assert resumed.supervisor.journal_replayed == 2
+        assert observable(resumed) == in_order
+
+    def test_strict_error_in_a_middle_shard(self, corpus, tmp_path):
+        # Shards 1 and 2 both hold a malformed row: whatever merged
+        # before, the error raised is shard 1's, as a serial loop's.
+        shard_dir = tmp_path / "broken"
+        shard_dir.mkdir()
+        specs = []
+        for spec in corpus["shards"]:
+            ssl_path = shard_dir / os.path.basename(spec.ssl_path)
+            shutil.copy(spec.ssl_path, ssl_path)
+            if spec.index in (1, 2):
+                with open(ssl_path, "a", encoding="utf-8") as handle:
+                    handle.write("not\ta\tzeek\trow\n")
+            specs.append(dataclasses.replace(spec, ssl_path=str(ssl_path)))
+        for jobs in JOBS_MATRIX:
+            with pytest.raises(ZeekFormatError) as caught:
+                ingest_shards(specs, jobs=jobs)
+            assert caught.value.source == specs[1].ssl_path

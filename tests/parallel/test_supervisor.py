@@ -207,6 +207,55 @@ class TestJournal:
         assert run.results == [0, 1, 4, 9]
 
 
+class TestOnComplete:
+    """``on_complete`` sees every recorded result once, in the driver,
+    and never an errored or dropped task."""
+
+    @staticmethod
+    def _collect(*args, **kwargs):
+        seen = []
+        run = run_supervised(*args, on_complete=lambda i, payload:
+                             seen.append((i, payload)), **kwargs)
+        return run, seen
+
+    def test_inline_runs_call_back_in_task_order(self):
+        run, seen = self._collect("t", [1, 2, 3], square, jobs=1)
+        assert seen == [(0, 1), (1, 4), (2, 9)]
+
+    def test_pool_completions_each_called_back_once(self):
+        run, seen = self._collect("t", list(range(6)), square, jobs=2)
+        assert sorted(seen) == list(enumerate(run.results))
+
+    def test_journal_replays_come_first(self, tmp_path):
+        with RunJournal(str(tmp_path / "j")) as journal:
+            for i in (1, 3):
+                journal.record("t", f"t:{i:04d}", fingerprint_of(i), i * i)
+        with RunJournal(str(tmp_path / "j")) as journal:
+            config = SupervisorConfig(journal=journal, resume=True)
+            run, seen = self._collect("t", [0, 1, 2, 3], square, jobs=2,
+                                      config=config,
+                                      fingerprint_fn=fingerprint_of)
+        assert seen[:2] == [(1, 1), (3, 9)]
+        assert sorted(seen) == list(enumerate(run.results))
+
+    def test_serial_fallbacks_called_back_and_drops_not(self):
+        config = SupervisorConfig(plan=CRASH_ALL, max_task_retries=0)
+        _, seen = self._collect("t", [2, 3], square, jobs=2, config=config)
+        assert sorted(seen) == [(0, 4), (1, 9)]
+        config = SupervisorConfig(plan=CRASH_ALL, max_task_retries=0,
+                                  serial_fallback=False)
+        run, seen = self._collect("t", [2], square, jobs=2, config=config)
+        assert run.results == [None] and seen == []
+
+    def test_errored_tasks_never_called_back(self):
+        seen = []
+        with pytest.raises(ValueError, match="bad:1"):
+            run_supervised("t", [0, 1, 2, 3], odd_explodes, jobs=2,
+                           on_complete=lambda i, payload:
+                           seen.append(i))
+        assert sorted(seen) == [0, 2]
+
+
 class TestResolveConfig:
     def test_defaults_fill_without_mutating_caller(self):
         plan = FaultPlan(seed="r", worker_crash_rate=0.5)

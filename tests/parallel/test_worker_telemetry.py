@@ -93,6 +93,19 @@ class TestIngestTelemetry:
         assert "ingest_shard" not in driver_names
         assert "parallel_ingest" in driver_names
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_driver_traces_one_merge_per_shard(self, corpus, jobs,
+                                               monkeypatch):
+        monkeypatch.setenv(NO_CPU_CLAMP_VAR, "1")
+        ingest_shards(corpus, jobs=jobs)
+        merges = [r for r in get_tracer().finished
+                  if r.name == "ingest_merge"]
+        assert [r.attrs["shard"] for r in merges] == [0, 1, 2, 3]
+        assert all(r.attrs["payload_bytes"] > 0 for r in merges)
+        # Opened in the dispatch loop, not after the pool has drained.
+        assert all(r.path == "parallel_ingest.supervised_ingest.ingest_merge"
+                   for r in merges)
+
     def test_trace_export_shows_four_distinct_worker_pids(self, corpus,
                                                           tmp_path,
                                                           monkeypatch):

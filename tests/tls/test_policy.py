@@ -255,6 +255,27 @@ class TestValidationMemo:
                 lambda: BrowserPolicy(registry, extra_anchors=[root],
                                       check_validity_period=False), chain)
 
+    def test_interleaved_and_mutated_chains(self, registry, le_chain,
+                                            private):
+        # The last-seen tuple shortcut must not serve one chain's entry
+        # to another, nor to a list whose contents changed in place.
+        root, short, twin, leaf = private
+        chains = self._chains(le_chain, private)
+        make_policy = lambda: BrowserPolicy(registry, extra_anchors=[root])
+        memoizing = make_policy()
+        moments = sorted({at for chain in chains
+                          for at in self._moments(chain)})
+        mutable = [leaf, short, root]
+        for at in moments:
+            for chain in chains + chains[::-1]:
+                for _ in range(2):
+                    assert memoizing.validate(chain, at=at) == \
+                        make_policy().validate(chain, at=at), (chain, at)
+            for middle in (short, twin):
+                mutable[1] = middle
+                assert memoizing.validate(mutable, at=at) == \
+                    make_policy().validate(tuple(mutable), at=at), at
+
     def test_expired_intermediate_skipped_outside_window(self, registry,
                                                          private):
         root, short, twin, leaf = private
